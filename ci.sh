@@ -13,6 +13,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+echo "==> dependency graph gate (one engine per question)"
+# The reference engines of shelley-oracle are test and bench support only:
+# shelleyc must never link them, and shelley-core must not link the NuSMV
+# crate (only the `shelleyc smv` export does, through shelley-cli).
+if cargo tree --offline -e normal -p shelley-cli | grep -q "shelley-oracle"; then
+    echo "shelley-cli links shelley-oracle"
+    exit 1
+fi
+if cargo tree --offline -e normal -p shelley-core | grep -q "shelley-smv"; then
+    echo "shelley-core links shelley-smv"
+    exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 
@@ -23,16 +36,17 @@ echo "==> langbench builds (release)"
 cargo build -p langbench --release -q
 
 echo "==> differential backend suite (explicit vs symbolic vs evaluated-SMV)"
-# All three claim-checking engines must return identical verdicts (and
-# equal witness lengths) on 1800 random system/claim pairs.
+# Both claim-checking engines and the SMV evaluator of shelley-oracle must
+# return identical verdicts (and equal witness lengths) on 1800 random
+# system/claim pairs.
 cargo test -p shelley-symbolic --test differential -q
 
 echo "==> langbench gates (lazy-vs-eager, bitset 2x, antichain 2x, hopcroft >= moore, dataflow skip rate, symbolic backend)"
 # Writes BENCH_lang.json / BENCH_perf.json / BENCH_sym.json and asserts
 # every gate in them: the lazy engine separation, the bitset >= 2x wins at
-# n >= 10, the antichain inclusion engine beating the classic exhaustive
-# search >= 2x at n >= 10, Hopcroft never losing to the Moore baseline at
-# n >= 10, the typestate fast path proving a positive share of the
+# n >= 10 over the BTreeSet engine of shelley-oracle, the antichain
+# inclusion engine beating the classic exhaustive search >= 2x at n >= 10,
+# Hopcroft never losing to the oracle's Moore baseline at n >= 10, the typestate fast path proving a positive share of the
 # synthetic 100-class workspace, and the symbolic backend deciding the
 # 2^n-frontier claim family past the explicit engine's 100k-state budget
 # (>= 1x at n >= 12).

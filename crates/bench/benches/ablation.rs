@@ -7,7 +7,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shelley_ir::generate::{generate_program, GenConfig};
 use shelley_ir::infer;
-use shelley_ltlf::{parse_formula, to_dfa};
+use shelley_ltlf::parse_formula;
+use shelley_oracle::ltlf::to_dfa;
+use shelley_oracle::regular::minimize_naive;
 use shelley_regular::{Alphabet, Dfa, Nfa, Regex};
 use std::sync::Arc;
 
@@ -35,7 +37,7 @@ fn bench_minimization(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("naive_moore", dfa.num_states()),
             &dfa,
-            |b, dfa| b.iter(|| dfa.minimize_naive().num_states()),
+            |b, dfa| b.iter(|| minimize_naive(dfa).num_states()),
         );
     }
     group.finish();

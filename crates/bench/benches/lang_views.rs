@@ -11,8 +11,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shelley_bench::adversarial_claim;
-use shelley_ltlf::{check_claim, to_dfa, MonitorView};
-use shelley_regular::lang::{self, NfaView, NfaViewRef};
+use shelley_ltlf::{check_claim, MonitorView};
+use shelley_oracle::ltlf::to_dfa;
+use shelley_oracle::regular::NfaViewRef;
+use shelley_regular::lang::{self, NfaView};
 use shelley_regular::{ops, Alphabet, Dfa, Nfa, Regex, Symbol};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -157,7 +159,11 @@ fn bench_inclusion_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("inclusion_engine");
     group.sample_size(10);
     group.bench_function("antichain", |bench| {
-        bench.iter(|| antichain::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok())
+        bench.iter(|| {
+            antichain::projected_subset_counted(&model, &NfaView::new(&spec), &markers)
+                .0
+                .is_ok()
+        })
     });
     group.bench_function("classic", |bench| {
         bench.iter(|| ops::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok())

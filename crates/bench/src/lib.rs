@@ -507,7 +507,9 @@ mod tests {
         assert!(!shelley_ltlf::check_claim(&model, &claim, &markers).holds());
         // The eager monitor of the negated claim is exponential (one state
         // per subset of alive disjuncts), the lazy search region is not.
-        let eager = shelley_ltlf::to_dfa(&claim.negate(), ab.clone()).num_states();
+        let eager = shelley_ltlf::MonitorView::new(&claim.negate(), ab.clone())
+            .materialize()
+            .num_states();
         assert!(eager >= 1 << 8, "eager monitor unexpectedly small: {eager}");
         let lazy = shelley_regular::ops::shortest_joint_word_counted(
             &model,

@@ -704,6 +704,12 @@ fn usage_string_agrees_with_the_flag_table() {
         "--stats",
         "--backend",
     ];
+    // The backend values are spelled out once, and only the ones the
+    // parser accepts.
+    assert!(
+        usage.contains("[--backend auto|explicit|symbolic]\n"),
+        "{usage}"
+    );
     for flag in flags {
         assert!(
             usage.contains(flag),
@@ -727,16 +733,40 @@ fn check_accepts_every_backend_with_identical_verdicts() {
         let run = shelleyc(&["check", path.to_str().unwrap(), "--backend", backend]);
         assert_eq!(run, auto, "--backend {backend} diverged");
     }
-    // The SMV engine agrees on the verdict; its witness may differ on
-    // marker-bearing composites, so compare the failure shape only.
-    let (stdout, _, code) = shelleyc(&["check", path.to_str().unwrap(), "--backend", "smv"]);
-    assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("FAIL TO MEET REQUIREMENT"), "{stdout}");
-    assert!(stdout.contains("Formula: (!a.open) W b.open"), "{stdout}");
-
     let (_, stderr, code) = shelleyc(&["check", path.to_str().unwrap(), "--backend", "nusmv"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("unknown backend `nusmv`"), "{stderr}");
+}
+
+#[test]
+fn the_retired_smv_backend_is_a_usage_error_everywhere() {
+    // The NuSMV-encoding evaluator is a test oracle, not a backend: every
+    // command taking `--backend` rejects `smv` before doing any work,
+    // naming the values that remain. (`shelleyc smv` export is unaffected.)
+    let path = write_temp("paper_smv_backend.py", PAPER);
+    let file = path.to_str().unwrap();
+    let socket = std::env::temp_dir().join("shelleyc-no-such-daemon.sock");
+    let socket = socket.to_str().unwrap();
+    for args in [
+        vec!["check", file, "--backend", "smv"],
+        vec!["watch", file, "--backend", "smv"],
+        vec!["serve", "--socket", socket, "--backend", "smv"],
+        vec!["connect", socket, file, "--backend", "smv"],
+    ] {
+        let (stdout, stderr, code) = shelleyc(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stdout}{stderr}");
+        assert!(
+            stderr.contains("unknown backend `smv` (expected auto, explicit, or symbolic)"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("[--backend auto|explicit|symbolic]"),
+            "{stderr}"
+        );
+    }
+    let (stdout, _, code) = shelleyc(&["smv", file, "Valve"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("MODULE main"), "{stdout}");
 }
 
 #[test]

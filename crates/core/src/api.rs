@@ -34,7 +34,10 @@
 //! ([`crate::backend::Backend`]). Version 4 added the antichain
 //! inclusion-engine counters (`antichain_frontier`/`antichain_pruned`) to
 //! [`WorkspaceStats`], carried by the `stats` and `check` replies;
-//! everything else is unchanged.
+//! everything else is unchanged. The `backend` values are `auto`,
+//! `explicit` and `symbolic`; a `configure` naming any other engine
+//! (such as the retired `smv`) gets an `error` reply and leaves the
+//! session as it was.
 
 use crate::backend::Backend;
 use crate::checker::CheckError;
@@ -94,8 +97,9 @@ pub enum Method {
     },
     /// Reconfigures the workspace. Switching `recover` re-parses every
     /// open file under the new grammar on the next `check`; switching
-    /// `backend` only changes which engine decides claims (cached
-    /// verdicts stay valid — all backends agree).
+    /// `backend` changes which engine decides claims, and the next `check`
+    /// re-verifies under it (the engines agree on verdicts but may pick
+    /// different counterexamples).
     Configure {
         /// Recovery mode: total parsing with degrade-to-`skip` (`W014`)
         /// instead of strict subset errors.

@@ -8,11 +8,10 @@ use crate::backend::Backend;
 use crate::dataflow::typestate::analyze_class;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::integration::{build_integration, Integration};
-use crate::lint::{run_lints, LintConfig, LintLevel};
-use crate::system::{build_systems, System, SystemSet};
+use crate::system::{System, SystemSet};
 use crate::verify::claims::{check_claims, ClaimViolation};
 use crate::verify::usage::{check_usage_counted, UsageViolation};
-use micropython_parser::ast::{ClassDef, Module};
+use micropython_parser::ast::ClassDef;
 use micropython_parser::SourceFile;
 use std::collections::BTreeSet;
 
@@ -67,58 +66,6 @@ pub struct Checked {
     pub integrations: Vec<(String, Integration)>,
     /// The report.
     pub report: CheckReport,
-}
-
-/// The reference implementation: sequential, from scratch, single module,
-/// no caching — one [`build_systems`] pass, module-level lints, then
-/// [`verify_system`] per class in declaration order.
-///
-/// [`crate::workspace::Workspace`] must produce byte-identical reports to
-/// this function on any single-module input; the equivalence suite holds
-/// the two against each other. Lint passes run after system building, and
-/// `config` reshapes the final diagnostics (`Allow` drops, `Warn` demotes —
-/// including the paper's `E100`/`E101`, whose violation lists are then
-/// cleared so [`CheckReport::passed`] stays consistent with the
-/// diagnostics).
-pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
-    let (systems, mut diagnostics) = build_systems(module);
-    run_lints(module, &systems, config, &mut diagnostics);
-    let mut usage_violations = Vec::new();
-    let mut claim_violations = Vec::new();
-    let mut integrations = Vec::new();
-
-    for system in systems.iter() {
-        let proven = proven_fields(module.class(&system.name), system, &systems);
-        let verdict = verify_system(system, &systems, &proven, Backend::Auto);
-        diagnostics.extend(verdict.diagnostics);
-        for v in verdict.usage_violations {
-            usage_violations.push((system.name.clone(), v));
-        }
-        for v in verdict.claim_violations {
-            claim_violations.push((system.name.clone(), v));
-        }
-        if let Some(integ) = verdict.integration {
-            integrations.push((system.name.clone(), integ));
-        }
-    }
-
-    config.apply(&mut diagnostics);
-    if config.level(codes::INVALID_SUBSYSTEM_USAGE) != LintLevel::Deny {
-        usage_violations.clear();
-    }
-    if config.level(codes::FAIL_TO_MEET_REQUIREMENT) != LintLevel::Deny {
-        claim_violations.clear();
-    }
-
-    Checked {
-        systems,
-        integrations,
-        report: CheckReport {
-            diagnostics,
-            usage_violations,
-            claim_violations,
-        },
-    }
 }
 
 /// The per-class verification products: what checking one system against
@@ -355,8 +302,7 @@ class GoodSector:
 
     #[test]
     fn typestate_fast_path_skips_proven_subsystems() {
-        use super::{check_module_direct, proven_fields, verify_system};
-        use crate::lint::LintConfig;
+        use super::{proven_fields, verify_system};
 
         let src = PAPER_SOURCE.split("@claim").next().unwrap().to_owned()
             + r#"
@@ -385,7 +331,7 @@ class GoodSector:
         assert_eq!(verdict.fast_path_skips, 1);
         assert!(verdict.usage_violations.is_empty());
         // The full pipeline agrees with the skipped check.
-        let checked = check_module_direct(&module, &LintConfig::default());
+        let checked = Checker::new().check_module(&module);
         assert!(checked.report.passed(), "{}", checked.report.render(None));
 
         // BadSector's misuse of `a` is *not* proven away: the analysis

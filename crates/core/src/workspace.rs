@@ -18,9 +18,10 @@
 //!   and its file) gates extraction and spec validation, which depend on
 //!   nothing but the class's own text;
 //! * a *dependency* fingerprint (the class fingerprint combined with the
-//!   fingerprints of every subsystem class it instantiates) gates
-//!   resolution, lints, and verification, which additionally read the
-//!   subsystems' specifications — and nothing else.
+//!   fingerprints of every subsystem class it instantiates, and with the
+//!   claim [`Backend`] unless it is `Auto`) gates resolution, lints, and
+//!   verification, which additionally read the subsystems'
+//!   specifications — and nothing else.
 //!
 //! Editing one class therefore re-runs extraction for that class only, and
 //! re-runs verification for that class plus the composites that use it.
@@ -295,11 +296,11 @@ impl Workspace {
     }
 
     /// Selects the claim-checking backend for subsequent rounds (see
-    /// [`crate::backend`]). All backends decide identical verdicts — the
-    /// differential suite pins this — so switching does **not** invalidate
-    /// cached verify results: an entry computed under one backend answers
-    /// for any other. (A violation witness is whichever shortest
-    /// counterexample the computing engine picked.)
+    /// [`crate::backend`]). The backends decide identical verdicts, but
+    /// two engines may pick different shortest counterexamples, so the
+    /// backend is part of every verify-cache key (in memory and on disk):
+    /// after a switch, a round reports exactly what a fresh workspace on
+    /// the new backend would.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
@@ -514,6 +515,14 @@ impl Workspace {
             .filter_map(|e| e.extraction.as_ref())
             .map(|x| (x.name.clone(), x.spec.clone()))
             .collect();
+        // The verify-cache key's second half: the class's dependencies
+        // plus the claim backend, which can change a violation witness.
+        let backend_tag = match self.backend {
+            // `Auto` adds nothing, so caches saved by default runs keep
+            // their keys.
+            Backend::Auto => None,
+            fixed => Some(fixed.to_string()),
+        };
         let dep_fingerprints: Vec<u64> = extract_entries
             .iter()
             .zip(&units)
@@ -526,6 +535,7 @@ impl Workspace {
                         let dep_fp = fp_of.get(dep).copied().unwrap_or(u64::MAX);
                         parts.push(dep_fp.to_le_bytes().to_vec());
                     }
+                    parts.extend(backend_tag.iter().map(|tag| tag.as_bytes().to_vec()));
                     let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
                     fnv1a(&slices)
                 }

@@ -1,22 +1,24 @@
-//! Backend golden suite over the `examples_py` corpus: the SMV evaluator
-//! (and the symbolic BDD engine) must agree with the explicit checker on
-//! **every class** of every example, not just on the classes that declare
-//! claims.
+//! Backend golden suite over the `examples_py` corpus: the symbolic BDD
+//! engine and the NuSMV-encoding evaluator of `shelley-oracle` must agree
+//! with the explicit checker on **every class** of every example, not just
+//! on the classes that declare claims.
 //!
 //! Two layers:
 //!
-//! * the declared `@claim`s of each example are decided under all four
+//! * the declared `@claim`s of each example are decided under all three
 //!   backend selections through [`check_claims`], with identical verdicts;
 //! * every class's model — the spec automaton for base classes, the
 //!   marker-erased integration automaton for composites — is probed with a
-//!   synthesized battery of claims over its own alphabet, and the three
-//!   engines are held verdict- and witness-length-identical.
+//!   synthesized battery of claims over its own alphabet, and the two
+//!   engines plus the SMV evaluator are held verdict- and
+//!   witness-length-identical.
 
 use shelley_core::spec::{intern_spec_events, spec_automaton};
 use shelley_core::{check_claims, Backend, Checker, Diagnostics, ProjectFile, SystemKind};
 use shelley_ltlf::{check_claim, eval, parse_formula, ClaimOutcome};
-use shelley_regular::{Nfa, Symbol};
-use std::collections::{BTreeMap, BTreeSet};
+use shelley_oracle::smv;
+use shelley_regular::Nfa;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const EXAMPLES: [&str; 3] = ["greenhouse.py", "paper.py", "sector.py"];
@@ -60,28 +62,6 @@ fn class_models(checked: &shelley_core::Checked) -> Vec<(String, Nfa)> {
     models
 }
 
-/// Decides `claim` on `model` through the emitted SMV encoding.
-fn smv_check(model: &Nfa, claim: &shelley_ltlf::Formula) -> ClaimOutcome {
-    let smv = shelley_smv::nfa_to_smv(model, "golden", std::slice::from_ref(claim));
-    let outcome = shelley_smv::eval_spec(&smv, &smv.ltlspecs[1]).expect("emitted specs evaluate");
-    if outcome.holds {
-        return ClaimOutcome::Holds;
-    }
-    let mut by_smv_name: BTreeMap<String, Symbol> = BTreeMap::new();
-    for (symbol, name) in model.alphabet().iter() {
-        by_smv_name
-            .entry(shelley_smv::sanitize(name))
-            .or_insert(symbol);
-    }
-    let counterexample = outcome
-        .counterexample
-        .expect("violations carry a witness")
-        .iter()
-        .map(|n| by_smv_name[n])
-        .collect();
-    ClaimOutcome::Violated { counterexample }
-}
-
 #[test]
 fn declared_claims_agree_across_backends_on_every_example() {
     for example in EXAMPLES {
@@ -99,7 +79,7 @@ fn declared_claims_agree_across_backends_on_every_example() {
                     .map(|v| v.formula)
                     .collect()
             };
-            for backend in [Backend::Auto, Backend::Symbolic, Backend::Smv] {
+            for backend in [Backend::Auto, Backend::Symbolic] {
                 let mut diagnostics = Diagnostics::default();
                 let violated: Vec<String> =
                     check_claims(system, integration, backend, &mut diagnostics)
@@ -149,7 +129,7 @@ fn smv_evaluator_matches_the_explicit_checker_on_every_class() {
                 let claim = parse_formula(&text, &mut ab).expect("battery formulas parse");
                 let explicit = check_claim(&model, &claim, &no_markers);
                 let symbolic = shelley_symbolic::check_claim(&model, &claim, &no_markers);
-                let smv = smv_check(&model, &claim);
+                let smv = smv::check_claim(&model, &claim, &no_markers);
                 match (&explicit, &symbolic, &smv) {
                     (ClaimOutcome::Holds, ClaimOutcome::Holds, ClaimOutcome::Holds) => {}
                     (

@@ -228,12 +228,12 @@ proptest! {
             &invisible,
         );
         prop_assert_eq!(&lazy, &eager, "engines disagree on:\n{}", src);
-        // Third engine: the retained `BTreeSet` reference view. The lazy
+        // Third engine: the `BTreeSet` reference view of `shelley-oracle`. The lazy
         // path above runs on the bitset `StateSet` engine; both must
         // produce byte-identical verdicts and counterexamples.
         let reference = ops::projected_subset(
             &integration.nfa,
-            &shelley_regular::lang::NfaViewRef::new(auto.nfa()),
+            &shelley_oracle::regular::NfaViewRef::new(auto.nfa()),
             &invisible,
         );
         prop_assert_eq!(&lazy, &reference, "bitset vs reference on:\n{}", src);
@@ -241,8 +241,11 @@ proptest! {
         // verification hot path actually runs. Same verdict; on a
         // violation, a witness exactly as short as the classic one that
         // replays against the integration automaton.
-        let pruned =
-            shelley_regular::antichain::projected_subset(&integration.nfa, &auto.view(), &invisible);
+        let (pruned, _) = shelley_regular::antichain::projected_subset_counted(
+            &integration.nfa,
+            &auto.view(),
+            &invisible,
+        );
         match (&lazy, &pruned) {
             (Ok(()), Ok(())) => {}
             (Err(c), Err(p)) => {

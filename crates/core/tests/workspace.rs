@@ -5,9 +5,9 @@
 
 use proptest::prelude::*;
 use shelley_core::annotations::OpKind;
-use shelley_core::pipeline::check_module_direct;
 use shelley_core::spec::{ClassSpec, ExitSpec, OperationSpec};
-use shelley_core::{Checked, Checker, LintConfig, ProjectFile, INPUT_NAME};
+use shelley_core::{Backend, Checked, Checker, LintConfig, ProjectFile, INPUT_NAME};
+use shelley_oracle::pipeline::check_module_direct;
 use std::fmt::Write as _;
 
 const VALVE_PY: &str = r#"
@@ -446,6 +446,80 @@ fn check_files_matches_per_file_workspace_rounds() {
 /// A random, structurally sane spec: `n` operations, each with one exit
 /// whose next-set references defined operations; op 0 is initial, the
 /// last op is final.
+/// A class whose claim the explicit and symbolic engines refute with
+/// different shortest counterexamples: after `p`, both `q` and `r` end a
+/// trace with the strong next of `X (p W r)` unmet.
+const TWO_WITNESS_PY: &str = r#"
+@claim("(G (X (p W r)))")
+@sys
+class Dev:
+    @op_initial
+    def p(self):
+        return ["q", "r"]
+
+    @op_final
+    def q(self):
+        return []
+
+    @op_final
+    def r(self):
+        return ["p"]
+"#;
+
+fn witness(checked: &Checked) -> &str {
+    let (class, violation) = &checked.report.claim_violations[0];
+    assert_eq!(class, "Dev");
+    &violation.counterexample_text
+}
+
+fn fresh_round(backend: Backend, cache: Option<&std::path::Path>) -> (Checked, u64) {
+    let mut ws = Checker::new().jobs(1).into_workspace();
+    ws.set_backend(backend);
+    if let Some(cache) = cache {
+        assert!(ws.load_disk_cache(cache).rejected.is_none());
+    }
+    ws.set_file("dev.py", TWO_WITNESS_PY);
+    let checked = ws.check().unwrap();
+    (checked, ws.last_round().verify_disk_hits)
+}
+
+#[test]
+fn a_backend_switch_never_returns_the_previous_engines_witness() {
+    let (explicit, _) = fresh_round(Backend::Explicit, None);
+    let (symbolic, _) = fresh_round(Backend::Symbolic, None);
+    assert_eq!(witness(&explicit), "p, q");
+    assert_eq!(witness(&symbolic), "p, r");
+
+    // One long-lived workspace: the default round caches the explicit
+    // engine's witness; after the switch the round re-verifies and equals
+    // a fresh symbolic workspace byte for byte.
+    let mut ws = Checker::new().jobs(1).into_workspace();
+    ws.set_file("dev.py", TWO_WITNESS_PY);
+    let auto = ws.check().unwrap();
+    assert_eq!(fingerprint_report(&auto), fingerprint_report(&explicit));
+    ws.set_backend(Backend::Symbolic);
+    let switched = ws.check().unwrap();
+    assert_eq!(ws.last_round().verified, 1, "the switch re-verifies");
+    assert_eq!(fingerprint_report(&switched), fingerprint_report(&symbolic));
+    let again = ws.check().unwrap();
+    assert_eq!(ws.last_round().verify_cache_hits, 1, "same backend hits");
+    assert_eq!(fingerprint_report(&again), fingerprint_report(&symbolic));
+
+    // Disk records carry the same key: a symbolic cache answers only a
+    // symbolic workspace.
+    let dir = std::env::temp_dir().join(format!("shelley-ws-backend-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("verify.ndjson");
+    assert_eq!(ws.save_disk_cache(&cache).unwrap(), 1);
+    let (warm_symbolic, hits) = fresh_round(Backend::Symbolic, Some(&cache));
+    assert_eq!(hits, 1);
+    assert_eq!(witness(&warm_symbolic), "p, r");
+    let (warm_auto, hits) = fresh_round(Backend::Auto, Some(&cache));
+    assert_eq!(hits, 0);
+    assert_eq!(witness(&warm_auto), "p, q");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn arb_spec(class: &'static str) -> impl Strategy<Value = ClassSpec> {
     (2usize..6)
         .prop_flat_map(|n| {

@@ -357,6 +357,54 @@ fn configure_switches_recovery_mode_mid_session() {
 }
 
 #[test]
+fn configuring_the_retired_smv_backend_is_an_error_and_the_session_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = temp_dir("retired-smv");
+    let socket = dir.join("daemon.sock");
+    let engine = Engine::new(Checker::new().jobs(1));
+    let server = {
+        let socket = socket.clone();
+        std::thread::spawn(move || serve_socket(engine, &socket))
+    };
+    while !socket.exists() {
+        std::thread::yield_now();
+    }
+
+    // A raw frame: no typed client can even express the removed value.
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writer
+        .write_all(
+            b"{\"id\":1,\"method\":{\"configure\":{\"recover\":false,\"backend\":\"smv\"}}}\n",
+        )
+        .unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let reply: Reply = serde::json::from_str(line.trim_end()).unwrap();
+    match reply.body {
+        ReplyBody::Error { message } => assert!(message.contains("smv"), "{message}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+
+    // The same connection still answers a check correctly.
+    let mut client = Client::new(reader, writer);
+    client.hello().unwrap();
+    client.open("valve.py", VALVE_PY).unwrap();
+    client.open("bad.py", BAD_PY).unwrap();
+    let summary = client.check().unwrap();
+    assert!(!summary.passed);
+    assert_eq!(
+        summary.render_text(),
+        one_shot_render(&[("valve.py", VALVE_PY), ("bad.py", BAD_PY)])
+    );
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
 fn parse_errors_surface_as_a_failed_summary_with_position() {
     let mut engine = Engine::new(Checker::new());
     let mut replies = Vec::new();

@@ -10,12 +10,11 @@
 //! the paper's future-work observation that Shelley can work directly with
 //! regular languages instead of encoding into ω-regular NuSMV models.
 //!
-//! Since the language-view refactor the monitor is primarily a *lazy* view:
-//! [`MonitorView`] implements [`Lang`] directly by progression, so checks
-//! explore only the formula states their model actually reaches. Compiling
-//! the full DFA up front ([`to_dfa`], worst-case exponential in the
-//! alphabet) survives as the [`materialize`](MonitorView::materialize)
-//! escape hatch for export and as the oracle in differential tests.
+//! The monitor is a *lazy* view: [`MonitorView`] implements [`Lang`]
+//! directly by progression, so checks explore only the formula states
+//! their model actually reaches. Compiling the full DFA up front
+//! ([`materialize`](MonitorView::materialize), worst-case exponential in
+//! the alphabet) is the escape hatch for export.
 
 use crate::semantics::{accepts_empty, progress};
 use crate::syntax::Formula;
@@ -122,8 +121,8 @@ fn clause_consistent(clause: &BTreeSet<Formula>) -> bool {
 /// only those formula states, while the full monitor DFA can be exponential
 /// in the alphabet.
 ///
-/// [`materialize`](Self::materialize) (or the [`to_dfa`] wrapper) builds
-/// the complete DFA when an export actually needs it.
+/// [`materialize`](Self::materialize) builds the complete DFA when an
+/// export actually needs it.
 ///
 /// # Examples
 ///
@@ -162,7 +161,23 @@ impl MonitorView {
         }
     }
 
-    /// Compiles the complete monitor DFA (the eager escape hatch).
+    /// Compiles the complete monitor DFA (the eager escape hatch),
+    /// accepting exactly the finite traces satisfying the formula.
+    ///
+    /// ```
+    /// use shelley_ltlf::{parse_formula, MonitorView};
+    /// use shelley_regular::Alphabet;
+    /// use std::sync::Arc;
+    ///
+    /// let mut ab = Alphabet::new();
+    /// let f = parse_formula("(!a.open) W b.open", &mut ab)?;
+    /// let a_open = ab.lookup("a.open").unwrap();
+    /// let b_open = ab.lookup("b.open").unwrap();
+    /// let dfa = MonitorView::new(&f, Arc::new(ab)).materialize();
+    /// assert!(dfa.accepts(&[b_open, a_open]));
+    /// assert!(!dfa.accepts(&[a_open]));
+    /// # Ok::<(), shelley_ltlf::ParseFormulaError>(())
+    /// ```
     pub fn materialize(&self) -> Dfa {
         lang::materialize(self)
     }
@@ -188,38 +203,14 @@ impl Lang for MonitorView {
     }
 }
 
-/// Compiles `formula` into a complete DFA over `alphabet` accepting exactly
-/// the satisfying traces.
-///
-/// This is [`MonitorView::materialize`] — worst-case exponential in the
-/// alphabet. Checks should drive the [`MonitorView`] lazily instead; the
-/// DFA form exists for export (diagrams, NuSMV) and differential testing.
-///
-/// # Examples
-///
-/// ```
-/// use shelley_ltlf::{parse_formula, to_dfa};
-/// use shelley_regular::Alphabet;
-/// use std::sync::Arc;
-///
-/// let mut ab = Alphabet::new();
-/// let f = parse_formula("(!a.open) W b.open", &mut ab)?;
-/// let a_open = ab.lookup("a.open").unwrap();
-/// let b_open = ab.lookup("b.open").unwrap();
-/// let dfa = to_dfa(&f, Arc::new(ab));
-/// assert!(dfa.accepts(&[]));
-/// assert!(dfa.accepts(&[b_open, a_open]));
-/// assert!(!dfa.accepts(&[a_open]));
-/// # Ok::<(), shelley_ltlf::ParseFormulaError>(())
-/// ```
-pub fn to_dfa(formula: &Formula, alphabet: Arc<Alphabet>) -> Dfa {
-    MonitorView::new(formula, alphabet).materialize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::semantics::eval;
+
+    fn monitor_dfa(formula: &Formula, alphabet: Arc<Alphabet>) -> Dfa {
+        MonitorView::new(formula, alphabet).materialize()
+    }
 
     fn setup() -> (Arc<Alphabet>, Symbol, Symbol, Symbol) {
         let mut ab = Alphabet::new();
@@ -258,7 +249,7 @@ mod tests {
             vec![c, c, c],
         ];
         for f in &formulas {
-            let dfa = to_dfa(f, ab.clone());
+            let dfa = monitor_dfa(f, ab.clone());
             for w in &words {
                 assert_eq!(dfa.accepts(w), eval(f, w), "formula {f:?} word {w:?}");
             }
@@ -269,16 +260,17 @@ mod tests {
     fn monitor_of_negation_is_complement() {
         let (ab, a, b, _) = setup();
         let f = Formula::weak_until(Formula::NotAtom(a), Formula::atom(b));
-        let pos = to_dfa(&f, ab.clone());
-        let neg = to_dfa(&f.negate(), ab.clone());
-        assert!(pos.equivalent(&neg.complement()).is_ok());
+        let pos = monitor_dfa(&f, ab.clone());
+        let neg = monitor_dfa(&f.negate(), ab.clone());
+        let comp = neg.complement();
+        assert!(pos.difference(&comp).is_empty() && comp.difference(&pos).is_empty());
     }
 
     #[test]
     fn automaton_is_small_for_simple_claims() {
         let (ab, a, b, _) = setup();
         let f = Formula::weak_until(Formula::NotAtom(a), Formula::atom(b));
-        let dfa = to_dfa(&f, ab).minimize();
+        let dfa = monitor_dfa(&f, ab).minimize();
         // !a W b has a 3-state minimal monitor (waiting / satisfied / failed).
         assert!(dfa.num_states() <= 3, "{} states", dfa.num_states());
     }
@@ -311,10 +303,10 @@ mod tests {
     #[test]
     fn true_and_false_monitors() {
         let (ab, a, _, _) = setup();
-        let all = to_dfa(&Formula::tt(), ab.clone());
+        let all = monitor_dfa(&Formula::tt(), ab.clone());
         assert!(all.accepts(&[]));
         assert!(all.accepts(&[a, a]));
-        let none = to_dfa(&Formula::ff(), ab);
+        let none = monitor_dfa(&Formula::ff(), ab);
         assert!(none.is_empty());
     }
 }

@@ -10,8 +10,9 @@
 //! [`MonitorView`]: only the formula states reachable along the model's
 //! traces are ever progressed, so an adversarial claim with an exponential
 //! monitor DFA costs nothing beyond what the model can reach. The eager
-//! compile-then-search pipeline ([`to_dfa`](crate::to_dfa) +
-//! [`ops::shortest_joint_word`]) remains the differential-testing oracle.
+//! compile-then-search pipeline (a [materialized](MonitorView::materialize)
+//! monitor + [`ops::shortest_joint_word`]) must return the same witnesses;
+//! the unit tests here and the property suites pin that.
 
 use crate::automaton::MonitorView;
 use crate::syntax::Formula;
@@ -141,7 +142,7 @@ mod tests {
             parse_regex("(b.open ; a.open) + (a.test ; a.open) + a.open", &mut ab).unwrap();
         let ab = Arc::new(ab);
         let model = Nfa::from_regex(&model_re, ab.clone());
-        let eager_bad = crate::automaton::to_dfa(&claim.negate(), ab.clone());
+        let eager_bad = MonitorView::new(&claim.negate(), ab.clone()).materialize();
         let eager =
             match shelley_regular::ops::shortest_joint_word(&model, &eager_bad, &BTreeSet::new()) {
                 None => ClaimOutcome::Holds,

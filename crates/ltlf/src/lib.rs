@@ -16,7 +16,7 @@
 //!   by direct evaluation and by formula progression;
 //! * [`MonitorView`] — the formula's monitor as a *lazy*
 //!   [`Lang`](shelley_regular::lang::Lang) view driven by progression, with
-//!   [`to_dfa`] (= [`MonitorView::materialize`]) as the eager escape hatch;
+//!   [`MonitorView::materialize`] as the eager escape hatch for export;
 //! * [`check_claim`] — language-inclusion model checking with shortest
 //!   counterexamples, marker-aware so Shelley's annotated traces
 //!   (`open_a, a.test, a.open`) survive into error messages; the monitor is
@@ -48,7 +48,7 @@ mod semantics;
 mod simplify;
 mod syntax;
 
-pub use automaton::{to_dfa, MonitorView};
+pub use automaton::MonitorView;
 pub use check::{check_claim, check_claim_dfa, ClaimOutcome};
 pub use parser::{parse_formula, ParseFormulaError};
 pub use semantics::{accepts_empty, eval, eval_direct, progress};

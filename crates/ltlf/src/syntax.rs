@@ -8,8 +8,9 @@
 //! Formulas are kept in **negation normal form** with ACI-normalized
 //! (flattened, sorted, deduplicated) conjunctions and disjunctions. That
 //! canonicalization is what makes the progression-based automaton
-//! construction ([`crate::to_dfa`]) terminate: the reachable state space is
-//! a finite set of normalized positive boolean combinations of subformulas.
+//! construction ([`crate::MonitorView::materialize`]) terminate: the
+//! reachable state space is a finite set of normalized positive boolean
+//! combinations of subformulas.
 
 use shelley_regular::{Alphabet, Symbol};
 use std::collections::BTreeSet;

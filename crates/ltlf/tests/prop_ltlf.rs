@@ -2,7 +2,8 @@
 //! compiled monitor DFA, negation as complement, and operator laws.
 
 use proptest::prelude::*;
-use shelley_ltlf::{accepts_empty, eval, eval_direct, progress, to_dfa, Formula};
+use shelley_ltlf::{accepts_empty, eval, eval_direct, progress, Formula};
+use shelley_oracle::ltlf::to_dfa;
 use shelley_regular::{Alphabet, Symbol};
 use std::sync::Arc;
 
@@ -130,7 +131,7 @@ proptest! {
         let dfa = to_dfa(&f, alphabet());
         let min = dfa.minimize();
         prop_assert!(min.num_states() <= dfa.num_states());
-        prop_assert!(min.equivalent(&dfa).is_ok());
+        prop_assert!(shelley_oracle::regular::equivalent(&min, &dfa).is_ok());
     }
 }
 
@@ -208,7 +209,8 @@ proptest! {
         w2 in arb_word()
     ) {
         use shelley_ltlf::check_claim_dfa;
-        use shelley_regular::lang::{self, NfaViewRef};
+        use shelley_oracle::regular::NfaViewRef;
+        use shelley_regular::lang;
         use shelley_regular::{Dfa, Nfa, Regex};
         let ab = alphabet();
         let model_re = Regex::union(Regex::word(&w1), Regex::word(&w2));

@@ -1,7 +1,7 @@
 //! Antichain-pruned inclusion checking over lazy language views.
 //!
-//! The classic inclusion checks ([`lang::subset_of`]
-//! and [`ops::projected_subset`](crate::ops::projected_subset)) determinize
+//! The classic inclusion check
+//! ([`ops::projected_subset`](crate::ops::projected_subset)) determinizes
 //! the spec side on the fly: the product search distinguishes every
 //! reachable spec macrostate, which on adversarial specs (`Σ*·a·Σ^n`) means
 //! `2^n` macrostates even when the model side is tiny. The antichain
@@ -17,7 +17,7 @@
 //! no larger distance).
 //!
 //! Two guarantees survive the pruning, both pinned by differential property
-//! suites against the classic engines:
+//! suites against the classic engine:
 //!
 //! * **Witnesses replay.** A kept pair's macrostate is always the *exact*
 //!   subset-construction state of its discovery word — pruning discards
@@ -29,11 +29,12 @@
 //!   Only the shortlex tie-break may differ: the ⊆-minimal representative
 //!   that survives pruning may spell a different word of the same length.
 //!
-//! The spec side is always an [`NfaView`] here — the antichain order *is*
-//! the `⊆` order on its [`StateSet`] macrostates, tested with the
-//! word-parallel block kernels of [`StateSet`]. The model side of
-//! [`subset_of`] is any [`Lang`]; [`projected_subset`] mirrors the
-//! marker-aware 0-1 BFS of [`ops`](crate::ops) over an explicit [`Nfa`].
+//! [`projected_subset_counted`] is the product's one inclusion entry point.
+//! Its spec side is an [`NfaView`] — the antichain order *is* the `⊆`
+//! order on its [`StateSet`] macrostates, tested with the word-parallel
+//! block kernels of [`StateSet`] — and its model side an explicit [`Nfa`]
+//! searched by the marker-aware 0-1 BFS of [`ops`](crate::ops). A plain
+//! `L(a) ⊆ L(b)` check is the marker-free case.
 
 use crate::lang::{self, Lang, NfaView};
 use crate::nfa::{Label, Nfa, StateId};
@@ -100,118 +101,18 @@ impl Frontier {
     }
 }
 
-/// Checks `L(a) ⊆ L(b)` with antichain pruning; on failure returns a
-/// violating word no longer than the classic engine's shortest witness.
-///
-/// The classic [`lang::subset_of`] stays available
-/// as the unpruned oracle (and produces the canonical shortlex witness).
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn subset_of<A: Lang>(a: &A, b: &NfaView<'_>) -> Result<(), Word> {
-    subset_of_counted(a, b).0
-}
-
-/// [`subset_of`] plus the antichain frontier/pruned counters.
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn subset_of_counted<A: Lang>(a: &A, b: &NfaView<'_>) -> (Result<(), Word>, InclusionStats) {
-    assert_eq!(
-        **a.alphabet(),
-        **b.alphabet(),
-        "inclusion check of language views over different alphabets"
-    );
-    let compiled = b.compiled();
-    let nsyms = a.alphabet().len();
-    let mut stats = InclusionStats::default();
-
-    // Discovered pairs, indexed; `parents` spells the discovery word.
-    let mut a_states: Vec<A::State> = Vec::new();
-    let mut b_sets: Vec<StateSet> = Vec::new();
-    let mut parents: Vec<Option<(usize, Symbol)>> = Vec::new();
-    let mut store: HashMap<A::State, Frontier> = HashMap::new();
-
-    let start_a = a.start();
-    let start_b = compiled.start_set();
-    store
-        .entry(start_a.clone())
-        .or_default()
-        .keep(start_b.clone(), 0);
-    a_states.push(start_a);
-    b_sets.push(start_b);
-    parents.push(None);
-
-    let mut queue: VecDeque<(usize, u32)> = VecDeque::from([(0, 0)]);
-    let mut a_scratch = a.start();
-    let mut b_scratch = compiled.empty_set();
-    while let Some((idx, label)) = queue.pop_front() {
-        if a.is_accepting(&a_states[idx]) && !compiled.is_accepting(&b_sets[idx]) {
-            stats.frontier = a_states.len();
-            return (Err(spell(&parents, idx)), stats);
-        }
-        // Pop-time antichain skip: a strictly smaller macrostate kept at
-        // equal-or-smaller distance rejects at least as much, so its
-        // expansion dominates this one's. (Acceptance was tested above, so
-        // a violation at this level is never lost.)
-        if store[&a_states[idx]].dominated(&b_sets[idx], label) {
-            stats.pruned += 1;
-            continue;
-        }
-        for sym_idx in 0..nsyms {
-            let sym = Symbol::from_index(sym_idx);
-            a.step_into(&a_states[idx], sym, &mut a_scratch);
-            compiled.step_into(&b_sets[idx], sym, &mut b_scratch);
-            let frontier = store.entry(a_scratch.clone()).or_default();
-            // Plain BFS discovers in distance order, so every kept label is
-            // already ≤ label + 1: the scan is the pure block-wise
-            // subsumption kernel.
-            match b_scratch.position_of_subset(frontier.sets.iter()) {
-                Some(i) => {
-                    if frontier.sets[i] != b_scratch {
-                        stats.pruned += 1;
-                    }
-                }
-                None => {
-                    frontier.keep(b_scratch.clone(), label + 1);
-                    let id = a_states.len();
-                    a_states.push(a_scratch.clone());
-                    b_sets.push(b_scratch.clone());
-                    parents.push(Some((idx, sym)));
-                    queue.push_back((id, label + 1));
-                }
-            }
-        }
-    }
-    stats.frontier = a_states.len();
-    (Ok(()), stats)
-}
-
 /// Checks `π(L(nfa)) ⊆ L(spec)` (with `π` erasing `markers`) by the same
 /// marker-aware 0-1 BFS as [`ops::projected_subset`](crate::ops::projected_subset),
-/// pruning the frontier with the antichain order on spec macrostates; on
-/// failure returns a violating word (markers preserved) of the same length
-/// as the classic engine's shortest witness.
+/// pruning the frontier with the antichain order on spec macrostates.
+///
+/// On failure returns a violating word (markers preserved) of the same
+/// length as the classic engine's shortest witness, though not always the
+/// same word; the counters report the search's frontier and pruning.
 ///
 /// # Panics
 ///
 /// Panics if the automata are over different alphabets, or if `markers`
 /// contains a symbol outside the shared alphabet.
-pub fn projected_subset(
-    nfa: &Nfa,
-    spec: &NfaView<'_>,
-    markers: &BTreeSet<Symbol>,
-) -> Result<(), Word> {
-    projected_subset_counted(nfa, spec, markers).0
-}
-
-/// [`projected_subset`] plus the antichain frontier/pruned counters.
-///
-/// # Panics
-///
-/// Same contract as [`projected_subset`].
 pub fn projected_subset_counted(
     nfa: &Nfa,
     spec: &NfaView<'_>,
@@ -252,7 +153,10 @@ pub fn projected_subset_counted(
             let word = spell_joint(&parents, idx);
             return (Err(word), stats);
         }
-        // Pop-time antichain skip, as in [`subset_of_counted`].
+        // Pop-time antichain skip: a strictly smaller macrostate kept at
+        // equal-or-smaller distance rejects at least as much, so its
+        // expansion dominates this one's. (Acceptance was tested above, so
+        // a violation at this level is never lost.)
         if store[&qn].dominated(&spec_sets[idx], label) {
             stats.pruned += 1;
             continue;
@@ -302,16 +206,6 @@ pub fn absorb_stats(total: &mut InclusionStats, one: InclusionStats) {
     total.absorb(one);
 }
 
-fn spell(parents: &[Option<(usize, Symbol)>], mut idx: usize) -> Word {
-    let mut word = Vec::new();
-    while let Some((prev, sym)) = parents[idx] {
-        word.push(sym);
-        idx = prev;
-    }
-    word.reverse();
-    word
-}
-
 fn spell_joint(parents: &[Option<(usize, Option<Symbol>)>], mut idx: usize) -> Word {
     let mut word = Vec::new();
     while let Some((prev, sym)) = parents[idx] {
@@ -327,36 +221,14 @@ fn spell_joint(parents: &[Option<(usize, Option<Symbol>)>], mut idx: usize) -> W
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfa::Dfa;
     use crate::ops;
     use crate::parser::parse_regex;
     use crate::regex::Regex;
     use crate::symbol::Alphabet;
     use std::sync::Arc;
 
-    fn pair(left: &str, right: &str) -> (Nfa, Nfa) {
-        let mut ab = Alphabet::new();
-        let l = parse_regex(left, &mut ab).unwrap();
-        let r = parse_regex(right, &mut ab).unwrap();
-        let ab = Arc::new(ab);
-        (Nfa::from_regex(&l, ab.clone()), Nfa::from_regex(&r, ab))
-    }
-
-    #[test]
-    fn agrees_with_classic_subset_on_inclusion_and_violation() {
-        let (small, big) = pair("a ; b", "(a ; b) + (a ; c)");
-        assert_eq!(
-            subset_of(&NfaView::new(&small), &NfaView::new(&big)),
-            Ok(())
-        );
-        let classic = lang::subset_of(&NfaView::new(&big), &NfaView::new(&small)).unwrap_err();
-        let (result, stats) = subset_of_counted(&NfaView::new(&big), &NfaView::new(&small));
-        let witness = result.unwrap_err();
-        assert_eq!(witness.len(), classic.len());
-        // The witness replays as a genuine violation.
-        let (db, ds) = (Dfa::from_nfa(&big), Dfa::from_nfa(&small));
-        assert!(db.accepts(&witness) && !ds.accepts(&witness));
-        assert!(stats.frontier >= 1);
+    fn included(model: &Nfa, spec: &Nfa) -> (Result<(), Word>, InclusionStats) {
+        projected_subset_counted(model, &NfaView::new(spec), &BTreeSet::new())
     }
 
     #[test]
@@ -378,7 +250,7 @@ mod tests {
         }
         let spec = Nfa::from_regex(&spec, ab.clone());
         let model = Nfa::from_regex(&model, ab);
-        let (result, stats) = subset_of_counted(&NfaView::new(&model), &NfaView::new(&spec));
+        let (result, stats) = included(&model, &spec);
         assert_eq!(result, Ok(()));
         assert!(stats.pruned > 0, "no pruning on the blowup family");
         // Classic explores the exponential macrostate space; the antichain
@@ -405,13 +277,15 @@ mod tests {
         let model = Nfa::from_regex(&Regex::word(&[m, a]), ab.clone());
         let spec = Nfa::from_regex(&Regex::word(&[a, b]), ab.clone());
         let classic = ops::projected_subset(&model, &NfaView::new(&spec), &markers).unwrap_err();
-        let (result, _) = projected_subset_counted(&model, &NfaView::new(&spec), &markers);
+        let (result, stats) = projected_subset_counted(&model, &NfaView::new(&spec), &markers);
         let witness = result.unwrap_err();
         assert_eq!(witness.len(), classic.len());
         assert_eq!(ops::strip_markers(&witness, &markers), vec![a]);
+        assert!(stats.frontier >= 1);
         // Conforming behavior passes under both engines.
         let good = Nfa::from_regex(&Regex::word(&[m, a, b]), ab);
-        assert!(projected_subset(&good, &NfaView::new(&spec), &markers).is_ok());
+        let (result, _) = projected_subset_counted(&good, &NfaView::new(&spec), &markers);
+        assert!(result.is_ok());
         assert!(ops::projected_subset(&good, &NfaView::new(&spec), &markers).is_ok());
     }
 
@@ -420,25 +294,21 @@ mod tests {
         let ab = Arc::new(Alphabet::new());
         let eps = Nfa::from_regex(&Regex::Epsilon, ab.clone());
         let void = Nfa::from_regex(&Regex::Empty, ab);
-        assert_eq!(subset_of(&NfaView::new(&void), &NfaView::new(&eps)), Ok(()));
-        let witness = subset_of(&NfaView::new(&eps), &NfaView::new(&void)).unwrap_err();
+        assert_eq!(included(&void, &eps).0, Ok(()));
+        let witness = included(&eps, &void).0.unwrap_err();
         assert!(witness.is_empty());
-        assert!(projected_subset(&void, &NfaView::new(&eps), &BTreeSet::new()).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "different alphabets")]
     fn rejects_mismatched_alphabets() {
-        let (n1, _) = {
-            let mut ab = Alphabet::new();
-            let r = parse_regex("a", &mut ab).unwrap();
-            let ab = Arc::new(ab);
-            (Nfa::from_regex(&r, ab.clone()), ab)
-        };
+        let mut ab = Alphabet::new();
+        let r = parse_regex("a", &mut ab).unwrap();
+        let n1 = Nfa::from_regex(&r, Arc::new(ab));
         let mut other = Alphabet::new();
         let r = parse_regex("a ; b", &mut other).unwrap();
         let n2 = Nfa::from_regex(&r, Arc::new(other));
-        let _ = subset_of(&NfaView::new(&n1), &NfaView::new(&n2));
+        let _ = included(&n1, &n2);
     }
 
     #[test]
@@ -448,7 +318,7 @@ mod tests {
         let r = parse_regex("a", &mut ab).unwrap();
         let nfa = Nfa::from_regex(&r, Arc::new(ab));
         let foreign = Symbol::from_index(99);
-        let _ = projected_subset(&nfa, &NfaView::new(&nfa), &BTreeSet::from([foreign]));
+        let _ = projected_subset_counted(&nfa, &NfaView::new(&nfa), &BTreeSet::from([foreign]));
     }
 
     #[test]

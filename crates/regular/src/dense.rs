@@ -1,14 +1,13 @@
-//! Flat transition tables backing [`Dfa`](crate::Dfa) hot operations.
+//! Flat transition tables: the one representation behind every
+//! [`Dfa`](crate::Dfa).
 //!
 //! A [`DenseDfa`] packs the transition function into one contiguous
 //! `states × symbols` array of `u32` targets plus a [`StateSet`] accepting
-//! bitset. [`Dfa`](crate::Dfa) builds one at every construction boundary
-//! (subset construction, `from_parts` — and therefore minimization — and
-//! products) and routes its stepping, BFS searches, and dead-state analysis
-//! through it: one multiply-add and one cache line per step instead of a
-//! nested-`Vec` double indirection. The nested table stays on the `Dfa` as
-//! the reference representation; the differential suite pins the two
-//! byte-identical.
+//! bitset. Every [`Dfa`](crate::Dfa) constructor (subset construction,
+//! products, minimization, [`lang::materialize`](crate::lang::materialize))
+//! writes this row-major table directly, and stepping, BFS searches and
+//! dead-state analysis read it: one multiply-add and one cache line per
+//! step.
 
 use crate::nfa::StateId;
 use crate::stateset::StateSet;
@@ -16,9 +15,9 @@ use crate::symbol::Symbol;
 
 /// A dense row-major transition table with an accepting bitset.
 ///
-/// Construction-only invariants (`Dfa` validates before building): every
-/// target is in range and every row has exactly `num_symbols` entries, so
-/// lookups are plain arithmetic.
+/// Construction validates the shape (every row has exactly
+/// `num_symbols` entries, every target is in range), so lookups are plain
+/// arithmetic.
 #[derive(Debug, Clone)]
 pub struct DenseDfa {
     nsyms: usize,
@@ -29,38 +28,63 @@ pub struct DenseDfa {
     accepting: StateSet,
 }
 
+/// Narrows a state id to a table entry.
+///
+/// # Panics
+///
+/// Panics if `state` exceeds `u32`.
+pub(crate) fn state_u32(state: StateId) -> u32 {
+    u32::try_from(state).expect("DFA state id exceeds u32")
+}
+
 impl DenseDfa {
-    /// Flattens a validated nested transition table.
+    /// Packs a row-major table: `table[q * nsyms + s]` is the successor of
+    /// state `q` on symbol index `s`, and `accepting[q]` marks state `q`
+    /// accepting. The number of states is `accepting.len()`.
     ///
     /// # Panics
     ///
-    /// Panics if any row is shorter than `nsyms`, if `accepting` is shorter
-    /// than the table, or if a state id exceeds `u32`.
-    pub fn from_table(
+    /// Panics if `table` does not hold exactly `accepting.len() × nsyms`
+    /// entries, or if `start` or any target is out of range.
+    pub(crate) fn new(
         nsyms: usize,
-        table: &[Vec<StateId>],
+        table: Vec<u32>,
         start: StateId,
         accepting: &[bool],
     ) -> DenseDfa {
-        let nstates = table.len();
-        let mut flat = Vec::with_capacity(nstates * nsyms);
-        for row in table {
-            for &dst in &row[..nsyms] {
-                flat.push(u32::try_from(dst).expect("DFA state id exceeds u32"));
-            }
-        }
+        let nstates = accepting.len();
+        assert_eq!(
+            table.len(),
+            nstates * nsyms,
+            "transition table is not states × symbols"
+        );
+        assert!(start < nstates, "start state out of range");
+        assert!(
+            table.iter().all(|&dst| (dst as usize) < nstates),
+            "transition target out of range"
+        );
         let mut acc = StateSet::new(nstates);
-        for (q, &is_acc) in accepting[..nstates].iter().enumerate() {
-            if is_acc {
-                acc.insert(q);
-            }
+        for (q, _) in accepting.iter().enumerate().filter(|(_, &a)| a) {
+            acc.insert(q);
         }
         DenseDfa {
             nsyms,
             nstates,
-            start: u32::try_from(start).expect("DFA state id exceeds u32"),
-            table: flat.into_boxed_slice(),
+            start: state_u32(start),
+            table: table.into_boxed_slice(),
             accepting: acc,
+        }
+    }
+
+    /// The same table with acceptance flipped on every state.
+    pub(crate) fn complement(&self) -> DenseDfa {
+        let mut accepting = StateSet::new(self.nstates);
+        for q in (0..self.nstates).filter(|&q| !self.is_accepting(q)) {
+            accepting.insert(q);
+        }
+        DenseDfa {
+            accepting,
+            ..self.clone()
         }
     }
 
@@ -111,10 +135,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flattens_rows_and_accepting_bits() {
+    fn packs_rows_and_accepting_bits() {
         // Two states over two symbols: 0 -a-> 1, 0 -b-> 0, 1 -*-> 1.
-        let table = vec![vec![1, 0], vec![1, 1]];
-        let dense = DenseDfa::from_table(2, &table, 0, &[false, true]);
+        let dense = DenseDfa::new(2, vec![1, 0, 1, 1], 0, &[false, true]);
         assert_eq!(dense.num_states(), 2);
         assert_eq!(dense.num_symbols(), 2);
         assert_eq!(dense.start(), 0);
@@ -124,13 +147,28 @@ mod tests {
         assert!(!dense.is_accepting(0));
         assert!(dense.is_accepting(1));
         assert_eq!(dense.accepting_set().len(), 1);
+        let flipped = dense.complement();
+        assert!(flipped.is_accepting(0) && !flipped.is_accepting(1));
+        assert_eq!(flipped.row(0), dense.row(0));
     }
 
     #[test]
     fn empty_alphabet_table() {
-        let dense = DenseDfa::from_table(0, &[vec![]], 0, &[true]);
+        let dense = DenseDfa::new(0, vec![], 0, &[true]);
         assert_eq!(dense.num_states(), 1);
         assert!(dense.row(0).is_empty());
         assert!(dense.is_accepting(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "target out of range")]
+    fn rejects_out_of_range_targets() {
+        let _ = DenseDfa::new(1, vec![2, 0], 0, &[false, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "states × symbols")]
+    fn rejects_ragged_tables() {
+        let _ = DenseDfa::new(2, vec![0, 0, 1], 0, &[false, true]);
     }
 }

@@ -1,12 +1,11 @@
 //! Deterministic finite automata (complete by construction).
 //!
 //! DFAs are obtained from [`Nfa`]s by subset construction and support the
-//! boolean algebra needed for verification: complement, product
-//! (intersection/union), emptiness with shortest witnesses, inclusion, and
-//! equivalence.
+//! boolean algebra needed for verification and export: complement, product
+//! (intersection/union/difference), and emptiness with shortest witnesses.
 
 use crate::compiled::CompiledNfa;
-use crate::dense::DenseDfa;
+use crate::dense::{state_u32, DenseDfa};
 use crate::nfa::{Nfa, StateId};
 use crate::stateset::StateSet;
 use crate::symbol::{Alphabet, Symbol, Word};
@@ -35,45 +34,20 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Dfa {
     alphabet: Arc<Alphabet>,
-    /// `table[q][s]` is the successor of state `q` on symbol index `s`.
-    ///
-    /// This nested table is the reference representation kept for the
-    /// differential suite; every hot operation reads `dense` instead.
-    table: Vec<Vec<StateId>>,
-    start: StateId,
-    accepting: Vec<bool>,
-    /// Flat `states × symbols` mirror of `table` + accepting bitset, built
-    /// once at every construction boundary.
+    /// Flat `states × symbols` transition table + accepting bitset.
     dense: DenseDfa,
 }
 
 impl Dfa {
-    /// Builds the dense mirror and assembles the automaton. Every
-    /// constructor funnels through here so `dense` can never go stale.
-    fn assemble(
-        alphabet: Arc<Alphabet>,
-        table: Vec<Vec<StateId>>,
-        start: StateId,
-        accepting: Vec<bool>,
-    ) -> Dfa {
-        let dense = DenseDfa::from_table(alphabet.len(), &table, start, &accepting);
-        Dfa {
-            alphabet,
-            table,
-            start,
-            accepting,
-            dense,
-        }
-    }
     /// Determinizes `nfa` by subset construction.
     ///
     /// Compiles the NFA's ε-closures and successor tables once, then runs
     /// the construction on [`StateSet`] bitset subsets (see
     /// [`Dfa::from_compiled`]). State numbering is BFS discovery order with
-    /// symbols scanned in dense index order — identical to the historical
-    /// `BTreeSet`-based construction and to materializing an
-    /// [`NfaView`](crate::lang::NfaView); the differential property suite
-    /// pins all three byte-for-byte.
+    /// symbols scanned in dense index order — identical to materializing an
+    /// [`NfaView`](crate::lang::NfaView) and to the `BTreeSet`-based
+    /// reference construction the differential property suite pins it
+    /// against.
     pub fn from_nfa(nfa: &Nfa) -> Dfa {
         Dfa::from_compiled(&CompiledNfa::compile(nfa))
     }
@@ -90,14 +64,12 @@ impl Dfa {
         let nsyms = alphabet.len();
 
         let mut index: HashMap<StateSet, StateId> = HashMap::new();
-        let mut table: Vec<Vec<StateId>> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
+        let mut table: Vec<u32> = vec![u32::MAX; nsyms];
         let mut sets: Vec<StateSet> = Vec::new();
 
         let start_set = compiled.start_set();
         index.insert(start_set.clone(), 0);
-        table.push(vec![usize::MAX; nsyms]);
-        accepting.push(compiled.is_accepting(&start_set));
+        let mut accepting = vec![compiled.is_accepting(&start_set)];
         sets.push(start_set);
 
         let mut scratch = compiled.empty_set();
@@ -111,8 +83,8 @@ impl Dfa {
                 let dst = match index.get(&scratch) {
                     Some(&d) => d,
                     None => {
-                        let d = table.len();
-                        table.push(vec![usize::MAX; nsyms]);
+                        let d = accepting.len();
+                        table.resize(table.len() + nsyms, u32::MAX);
                         accepting.push(compiled.is_accepting(&scratch));
                         index.insert(scratch.clone(), d);
                         sets.push(scratch.clone());
@@ -120,34 +92,29 @@ impl Dfa {
                         d
                     }
                 };
-                table[q][sym_idx] = dst;
+                table[q * nsyms + sym_idx] = state_u32(dst);
             }
         }
-        Dfa::assemble(alphabet, table, 0, accepting)
+        Dfa::from_parts(alphabet, table, 0, &accepting)
     }
 
-    /// Builds a DFA directly from parts (used by the minimizer and tests).
+    /// Builds a DFA from a row-major transition table:
+    /// `table[q * symbols + s]` is the successor of state `q` on symbol
+    /// index `s`, and `accepting[q]` marks state `q` accepting. Every
+    /// constructor funnels through here.
     ///
     /// # Panics
     ///
-    /// Panics if the table is ragged, references out-of-range states, or the
-    /// accepting vector length mismatches.
+    /// Panics if the table does not hold `accepting.len() × alphabet.len()`
+    /// entries, or if `start` or any target is out of range.
     pub fn from_parts(
         alphabet: Arc<Alphabet>,
-        table: Vec<Vec<StateId>>,
+        table: Vec<u32>,
         start: StateId,
-        accepting: Vec<bool>,
+        accepting: &[bool],
     ) -> Dfa {
-        let n = table.len();
-        assert_eq!(accepting.len(), n, "accepting vector length mismatch");
-        assert!(start < n, "start state out of range");
-        for row in &table {
-            assert_eq!(row.len(), alphabet.len(), "ragged transition table");
-            for &dst in row {
-                assert!(dst < n, "transition target out of range");
-            }
-        }
-        Dfa::assemble(alphabet, table, start, accepting)
+        let dense = DenseDfa::new(alphabet.len(), table, start, accepting);
+        Dfa { alphabet, dense }
     }
 
     /// The automaton's alphabet.
@@ -157,17 +124,17 @@ impl Dfa {
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.table.len()
+        self.dense.num_states()
     }
 
     /// The start state.
     pub fn start(&self) -> StateId {
-        self.start
+        self.dense.start()
     }
 
     /// Whether `state` accepts.
     pub fn is_accepting(&self, state: StateId) -> bool {
-        self.accepting[state]
+        self.dense.is_accepting(state)
     }
 
     /// The successor of `state` on `symbol` (one flat-table load).
@@ -176,15 +143,7 @@ impl Dfa {
         self.dense.step(state, symbol)
     }
 
-    /// The successor read from the nested reference table.
-    ///
-    /// Exists so the differential suite can pin the dense mirror against
-    /// the reference representation; everything else uses [`Dfa::step`].
-    pub fn step_reference(&self, state: StateId, symbol: Symbol) -> StateId {
-        self.table[state][symbol.index()]
-    }
-
-    /// The dense flat-table engine backing this automaton's hot operations.
+    /// The flat transition table backing this automaton.
     pub fn dense(&self) -> &DenseDfa {
         &self.dense
     }
@@ -209,23 +168,20 @@ impl Dfa {
 
     /// Runs the automaton on `word` from the start state.
     pub fn run(&self, word: &[Symbol]) -> StateId {
-        word.iter().fold(self.start, |q, &s| self.step(q, s))
+        word.iter().fold(self.start(), |q, &s| self.step(q, s))
     }
 
     /// Decides `word ∈ L(self)`.
     pub fn accepts(&self, word: &[Symbol]) -> bool {
-        self.accepting[self.run(word)]
+        self.is_accepting(self.run(word))
     }
 
     /// The complement automaton (accepting exactly the rejected words).
     pub fn complement(&self) -> Dfa {
-        let accepting = self.accepting.iter().map(|&acc| !acc).collect();
-        Dfa::assemble(
-            self.alphabet.clone(),
-            self.table.clone(),
-            self.start,
-            accepting,
-        )
+        Dfa {
+            alphabet: self.alphabet.clone(),
+            dense: self.dense.complement(),
+        }
     }
 
     /// Product automaton accepting the intersection of both languages.
@@ -262,51 +218,31 @@ impl Dfa {
             "product of DFAs over different alphabets"
         );
         let nsyms = self.alphabet.len();
-        let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
-        let mut table: Vec<Vec<StateId>> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
-        let mut pairs: Vec<(StateId, StateId)> = Vec::new();
-
-        let intern = |pair: (StateId, StateId),
-                      table: &mut Vec<Vec<StateId>>,
-                      accepting: &mut Vec<bool>,
-                      pairs: &mut Vec<(StateId, StateId)>,
-                      index: &mut HashMap<(StateId, StateId), StateId>|
-         -> StateId {
-            if let Some(&q) = index.get(&pair) {
-                return q;
-            }
-            let q = table.len();
-            table.push(vec![usize::MAX; nsyms]);
-            accepting.push(combine(self.accepting[pair.0], other.accepting[pair.1]));
-            index.insert(pair, q);
-            pairs.push(pair);
-            q
-        };
-
-        let start = intern(
-            (self.start, other.start),
-            &mut table,
-            &mut accepting,
-            &mut pairs,
-            &mut index,
-        );
-        let mut queue = VecDeque::from([start]);
-        let mut seen_len = 1usize;
-        while let Some(q) = queue.pop_front() {
+        let accepts =
+            |(qa, qb): (StateId, StateId)| combine(self.is_accepting(qa), other.is_accepting(qb));
+        let start = (self.start(), other.start());
+        let mut index: HashMap<(StateId, StateId), StateId> = HashMap::from([(start, 0)]);
+        // Pairs in discovery order, which is also the BFS queue order.
+        let mut pairs = vec![start];
+        let mut accepting = vec![accepts(start)];
+        let mut table = vec![u32::MAX; nsyms];
+        let mut q = 0;
+        while q < pairs.len() {
             let (qa, qb) = pairs[q];
             let (row_a, row_b) = (self.dense.row(qa), other.dense.row(qb));
             for sym_idx in 0..nsyms {
-                let dst_pair = (row_a[sym_idx] as StateId, row_b[sym_idx] as StateId);
-                let dst = intern(dst_pair, &mut table, &mut accepting, &mut pairs, &mut index);
-                table[q][sym_idx] = dst;
-                if dst >= seen_len {
-                    seen_len = dst + 1;
-                    queue.push_back(dst);
-                }
+                let pair = (row_a[sym_idx] as StateId, row_b[sym_idx] as StateId);
+                let dst = *index.entry(pair).or_insert_with(|| {
+                    pairs.push(pair);
+                    accepting.push(accepts(pair));
+                    table.resize(table.len() + nsyms, u32::MAX);
+                    pairs.len() - 1
+                });
+                table[q * nsyms + sym_idx] = state_u32(dst);
             }
+            q += 1;
         }
-        Dfa::assemble(self.alphabet.clone(), table, start, accepting)
+        Dfa::from_parts(self.alphabet.clone(), table, 0, &accepting)
     }
 
     /// Whether the language is empty.
@@ -316,12 +252,12 @@ impl Dfa {
 
     /// Finds a shortest accepted word, if any.
     pub fn shortest_accepted(&self) -> Option<Word> {
-        let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; self.table.len()];
-        let mut visited = vec![false; self.table.len()];
-        let mut queue = VecDeque::from([self.start]);
-        visited[self.start] = true;
+        let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; self.num_states()];
+        let mut visited = vec![false; self.num_states()];
+        let mut queue = VecDeque::from([self.start()]);
+        visited[self.start()] = true;
         while let Some(q) = queue.pop_front() {
-            if self.accepting[q] {
+            if self.is_accepting(q) {
                 let mut word = Vec::new();
                 let mut cur = q;
                 while let Some((prev, sym)) = parent[cur] {
@@ -346,10 +282,10 @@ impl Dfa {
     /// Finds a shortest word driving the start state to `target`, if any
     /// (breadth-first in symbol order, so the witness is deterministic).
     pub fn shortest_word_to(&self, target: StateId) -> Option<Word> {
-        let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; self.table.len()];
-        let mut visited = vec![false; self.table.len()];
-        let mut queue = VecDeque::from([self.start]);
-        visited[self.start] = true;
+        let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; self.num_states()];
+        let mut visited = vec![false; self.num_states()];
+        let mut queue = VecDeque::from([self.start()]);
+        visited[self.start()] = true;
         while let Some(q) = queue.pop_front() {
             if q == target {
                 let mut word = Vec::new();
@@ -371,30 +307,6 @@ impl Dfa {
             }
         }
         None
-    }
-
-    /// Checks `L(self) ⊆ L(other)`; on failure returns a shortest word in
-    /// the difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alphabets differ.
-    pub fn subset_of(&self, other: &Dfa) -> Result<(), Word> {
-        match self.difference(other).shortest_accepted() {
-            None => Ok(()),
-            Some(w) => Err(w),
-        }
-    }
-
-    /// Checks language equivalence; on failure returns a shortest
-    /// distinguishing word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alphabets differ.
-    pub fn equivalent(&self, other: &Dfa) -> Result<(), Word> {
-        self.subset_of(other)?;
-        other.subset_of(self)
     }
 }
 
@@ -519,19 +431,19 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_equivalence() {
+    fn difference_witnesses_non_inclusion() {
         let (ab, a, _) = ab2();
         // a ⊆ a* but not conversely.
         let small = dfa_of(&Regex::sym(a), ab.clone());
         let big = dfa_of(&Regex::star(Regex::sym(a)), ab.clone());
-        assert!(small.subset_of(&big).is_ok());
-        let counter = big.subset_of(&small).unwrap_err();
+        assert!(small.difference(&big).is_empty());
+        let counter = big.difference(&small).shortest_accepted().unwrap();
         assert!(counter.is_empty() || counter.len() >= 2);
         // (a·a)* + a·(a·a)* ≡ a*.
         let even = Regex::star(Regex::word(&[a, a]));
         let odd = Regex::concat(Regex::sym(a), even.clone());
         let all = dfa_of(&Regex::union(even, odd), ab.clone());
-        assert!(all.equivalent(&big).is_ok());
+        assert!(all.difference(&big).is_empty() && big.difference(&all).is_empty());
     }
 
     #[test]

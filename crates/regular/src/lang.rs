@@ -9,15 +9,14 @@
 //! `start`/`step`/`is_accepting` over a hashable state type, combinators
 //! that compose views without materializing them ([`Product`],
 //! [`Complement`], [`EraseMarkers`]), and generic algorithms
-//! ([`shortest_accepted`], [`is_empty`], [`subset_of`], [`materialize`])
-//! that explore **only the reachable states**, memoizing them by hash.
+//! ([`shortest_accepted`], [`is_empty`], [`materialize`]) that explore
+//! **only the reachable states**, memoizing them by hash.
 //!
-//! The eager algebra stays available as the slow-but-obviously-correct
-//! oracle; property tests assert the two engines agree byte-for-byte. The
-//! algorithms here deliberately mirror the eager traversal order (FIFO
-//! queue, symbols in dense index order, acceptance tested at dequeue) so
-//! shortest witnesses are *identical* to the eager ones — the shortlex-least
-//! shortest word — not merely equal in length.
+//! Property tests assert the lazy views and the eager algebra agree
+//! byte-for-byte. The algorithms here deliberately mirror the eager
+//! traversal order (FIFO queue, symbols in dense index order, acceptance
+//! tested at dequeue) so shortest witnesses are *identical* to the eager
+//! ones — the shortlex-least shortest word — not merely equal in length.
 //!
 //! Use [`materialize`] only at export boundaries (diagrams, NuSMV models,
 //! statistics): it is the single escape hatch back into the eager [`Dfa`]
@@ -36,15 +35,17 @@
 //! let ab = Arc::new(ab);
 //! let spec = Nfa::from_regex(&Regex::word(&[a, b]), ab.clone());
 //! let behavior = Nfa::from_regex(&Regex::word(&[a]), ab);
-//! // Is L(behavior) ⊆ L(spec)? Searched lazily — no subset construction.
-//! let witness = lang::subset_of(&NfaView::new(&behavior), &NfaView::new(&spec));
-//! assert_eq!(witness.unwrap_err(), vec![a]);
+//! // A shortest word of L(behavior) \ L(spec), searched lazily — no
+//! // subset construction.
+//! let diff = Product::difference(NfaView::new(&behavior), NfaView::new(&spec));
+//! assert_eq!(lang::shortest_accepted(&diff), Some(vec![a]));
 //! # let _ = (Complement::new(NfaView::new(&spec)), Product::intersection(NfaView::new(&spec), NfaView::new(&spec)));
 //! ```
 
 use crate::compiled::CompiledNfa;
+use crate::dense::state_u32;
 use crate::dfa::Dfa;
-use crate::nfa::{Label, Nfa, StateId};
+use crate::nfa::{Nfa, StateId};
 use crate::stateset::StateSet;
 use crate::symbol::{Alphabet, Symbol, Word};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -150,9 +151,7 @@ impl Lang for Dfa {
 /// Construction compiles the NFA once (ε-closures + CSR successor table);
 /// the view is cheap to clone afterwards. [`materialize`]d, this view
 /// yields a [`Dfa`] identical (states and numbering included) to
-/// `Dfa::from_nfa` on the same NFA. The retired `BTreeSet` representation
-/// survives as [`NfaViewRef`], the reference engine differential tests pin
-/// this one against.
+/// `Dfa::from_nfa` on the same NFA.
 #[derive(Debug, Clone)]
 pub struct NfaView<'a> {
     nfa: &'a Nfa,
@@ -200,57 +199,6 @@ impl Lang for NfaView<'_> {
 
     fn is_accepting(&self, state: &Self::State) -> bool {
         self.compiled.is_accepting(state)
-    }
-}
-
-/// The retired `BTreeSet`-based determinization view, kept as the slow
-/// reference engine.
-///
-/// Semantics are identical to [`NfaView`]: states are ε-closed subsets,
-/// stepping is one symbol move plus [`Nfa::epsilon_closure`]. The only
-/// difference is the representation — one heap node per set element and a
-/// fresh ε-edge walk per step — which is exactly why it exists: the
-/// differential property suites materialize and search both engines and
-/// assert byte-identical automata, witnesses, and state numbering. Use
-/// [`NfaView`] everywhere else.
-#[derive(Debug, Clone, Copy)]
-pub struct NfaViewRef<'a> {
-    nfa: &'a Nfa,
-}
-
-impl<'a> NfaViewRef<'a> {
-    /// Wraps `nfa` without determinizing or compiling it.
-    pub fn new(nfa: &'a Nfa) -> Self {
-        NfaViewRef { nfa }
-    }
-}
-
-impl Lang for NfaViewRef<'_> {
-    type State = BTreeSet<StateId>;
-
-    fn alphabet(&self) -> &Arc<Alphabet> {
-        self.nfa.alphabet()
-    }
-
-    fn start(&self) -> Self::State {
-        self.nfa
-            .epsilon_closure(&BTreeSet::from([self.nfa.start()]))
-    }
-
-    fn step(&self, state: &Self::State, symbol: Symbol) -> Self::State {
-        let mut next = BTreeSet::new();
-        for &q in state {
-            for &(label, dst) in self.nfa.edges_from(q) {
-                if label == Label::Sym(symbol) {
-                    next.insert(dst);
-                }
-            }
-        }
-        self.nfa.epsilon_closure(&next)
-    }
-
-    fn is_accepting(&self, state: &Self::State) -> bool {
-        state.iter().any(|&q| self.nfa.is_accepting(q))
     }
 }
 
@@ -514,25 +462,6 @@ pub fn is_empty<L: Lang>(lang: &L) -> bool {
     shortest_accepted(lang).is_none()
 }
 
-/// Checks `L(a) ⊆ L(b)` lazily; on failure returns a shortest word in the
-/// difference (byte-identical to [`Dfa::subset_of`]'s witness).
-///
-/// This is the *classic* engine: it distinguishes every reachable product
-/// state, exponential when `b` is a blowing-up [`NfaView`]. The pruned
-/// engine in [`crate::antichain`] decides the same question while
-/// discarding ⊆-subsumed spec macrostates; this one stays as the
-/// differential oracle and the source of canonical shortlex witnesses.
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn subset_of<A: Lang, B: Lang>(a: &A, b: &B) -> Result<(), Word> {
-    match shortest_accepted(&Product::difference(a, b)) {
-        None => Ok(()),
-        Some(w) => Err(w),
-    }
-}
-
 /// Materializes a view into an eager [`Dfa`] — the escape hatch back into
 /// the eager world for diagram, NuSMV, and statistics export.
 ///
@@ -549,14 +478,12 @@ pub fn materialize<L: Lang>(lang: &L) -> Dfa {
     let nsyms = alphabet.len();
     let mut index: HashMap<L::State, usize> = HashMap::new();
     let mut states: Vec<L::State> = Vec::new();
-    let mut table: Vec<Vec<StateId>> = Vec::new();
-    let mut accepting: Vec<bool> = Vec::new();
+    let mut table: Vec<u32> = vec![u32::MAX; nsyms];
 
     let start = lang.start();
     index.insert(start.clone(), 0);
-    accepting.push(lang.is_accepting(&start));
+    let mut accepting = vec![lang.is_accepting(&start)];
     states.push(start);
-    table.push(vec![usize::MAX; nsyms]);
 
     let mut queue: VecDeque<usize> = VecDeque::from([0]);
     // Scratch successor reused across steps, as in
@@ -573,15 +500,15 @@ pub fn materialize<L: Lang>(lang: &L) -> Dfa {
                     index.insert(scratch.clone(), d);
                     accepting.push(lang.is_accepting(&scratch));
                     states.push(scratch.clone());
-                    table.push(vec![usize::MAX; nsyms]);
+                    table.resize(table.len() + nsyms, u32::MAX);
                     queue.push_back(d);
                     d
                 }
             };
-            table[q][sym_idx] = dst;
+            table[q * nsyms + sym_idx] = state_u32(dst);
         }
     }
-    Dfa::from_parts(alphabet, table, 0, accepting)
+    Dfa::from_parts(alphabet, table, 0, &accepting)
 }
 
 #[cfg(test)]
@@ -652,22 +579,6 @@ mod tests {
         assert_eq!(
             shortest_accepted(&Complement::new(&v2)),
             d2.complement().shortest_accepted()
-        );
-    }
-
-    #[test]
-    fn subset_of_matches_dfa_subset_of() {
-        let mut ab = Alphabet::new();
-        let small = parse_regex("a ; b", &mut ab).unwrap();
-        let big = parse_regex("(a ; b) + (a ; c)", &mut ab).unwrap();
-        let ab = Arc::new(ab);
-        let ns = Nfa::from_regex(&small, ab.clone());
-        let nb = Nfa::from_regex(&big, ab);
-        let (ds, db) = (Dfa::from_nfa(&ns), Dfa::from_nfa(&nb));
-        assert_eq!(subset_of(&NfaView::new(&ns), &NfaView::new(&nb)), Ok(()));
-        assert_eq!(
-            subset_of(&NfaView::new(&nb), &NfaView::new(&ns)),
-            db.subset_of(&ds)
         );
     }
 

@@ -22,14 +22,13 @@
 //!   `u64`-block subsets plus once-per-NFA compiled ε-closures and CSR
 //!   successor tables, powering allocation-free determinized stepping in
 //!   every hot path below.
-//! * [`Dfa`] — complete DFAs with subset construction, boolean algebra,
-//!   inclusion/equivalence with shortest counterexamples,
-//!   [Hopcroft minimization](Dfa::minimize), shortlex
-//!   [word enumeration](Dfa::enumerate_words), each hot operation stepping
-//!   a flat [`DenseDfa`] transition table.
+//! * [`Dfa`] — complete DFAs with subset construction, boolean algebra
+//!   with shortest witnesses, [Hopcroft minimization](Dfa::minimize),
+//!   shortlex [word enumeration](Dfa::enumerate_words), all stored in and
+//!   stepping one flat [`DenseDfa`] transition table.
 //! * [`antichain`] — inclusion checking that prunes ⊆-subsumed spec
-//!   macrostates (De Wulf–Doyen–Henzinger–Raskin), the engine under the
-//!   verification hot path; the classic searches remain as oracles.
+//!   macrostates (De Wulf–Doyen–Henzinger–Raskin), the product's one
+//!   inclusion engine.
 //! * [`lang`] — lazy language views: a [`lang::Lang`] trait with on-the-fly
 //!   combinators (product, complement, marker erasure) and generic searches
 //!   that explore only reachable states, with
@@ -44,7 +43,10 @@
 //! specification:
 //!
 //! ```
-//! use shelley_regular::{Alphabet, Regex, Nfa, Dfa, parse_regex};
+//! use shelley_regular::antichain::projected_subset_counted;
+//! use shelley_regular::lang::NfaView;
+//! use shelley_regular::{parse_regex, Alphabet, Nfa};
+//! use std::collections::BTreeSet;
 //! use std::sync::Arc;
 //!
 //! let mut ab = Alphabet::new();
@@ -52,10 +54,18 @@
 //! let spec = parse_regex("(test ; (open ; close + clean))*", &mut ab)?;
 //! // A client that tests then opens then closes once.
 //! let client = parse_regex("test ; open ; close", &mut ab)?;
+//! // A client that opens without testing first.
+//! let careless = parse_regex("open ; close", &mut ab)?;
 //! let ab = Arc::new(ab);
-//! let spec_dfa = Dfa::from_nfa(&Nfa::from_regex(&spec, ab.clone()));
-//! let client_dfa = Dfa::from_nfa(&Nfa::from_regex(&client, ab));
-//! assert!(client_dfa.subset_of(&spec_dfa).is_ok());
+//! let spec = Nfa::from_regex(&spec, ab.clone());
+//! let no_markers = BTreeSet::new();
+//! let check = |behavior| {
+//!     let behavior = Nfa::from_regex(behavior, ab.clone());
+//!     projected_subset_counted(&behavior, &NfaView::new(&spec), &no_markers).0
+//! };
+//! assert!(check(&client).is_ok());
+//! let witness = check(&careless).unwrap_err();
+//! assert_eq!(ab.render_word(&witness), "open, close");
 //! # Ok::<(), shelley_regular::ParseRegexError>(())
 //! ```
 

@@ -5,6 +5,7 @@
 //! agree on membership, and the boolean algebra must satisfy its laws.
 
 use proptest::prelude::*;
+use shelley_oracle::regular as oracle;
 use shelley_regular::{Alphabet, Dfa, Nfa, Regex, Symbol};
 use std::sync::Arc;
 
@@ -53,10 +54,10 @@ proptest! {
         let ab = alphabet();
         let dfa = Dfa::from_nfa(&Nfa::from_regex(&r, ab));
         let h = dfa.minimize();
-        let n = dfa.minimize_naive();
+        let n = oracle::minimize_naive(&dfa);
         prop_assert_eq!(h.num_states(), n.num_states());
-        prop_assert!(h.equivalent(&n).is_ok());
-        prop_assert!(h.equivalent(&dfa).is_ok());
+        prop_assert!(oracle::equivalent(&h, &n).is_ok());
+        prop_assert!(oracle::equivalent(&h, &dfa).is_ok());
     }
 
     /// Minimizing twice is a fixpoint (state count stabilizes).
@@ -129,13 +130,13 @@ proptest! {
         }
     }
 
-    /// `subset_of` counterexamples are genuine.
+    /// The reference inclusion check's counterexamples are genuine.
     #[test]
     fn subset_counterexamples_are_real(r1 in arb_regex(), r2 in arb_regex()) {
         let ab = alphabet();
         let d1 = Dfa::from_nfa(&Nfa::from_regex(&r1, ab.clone()));
         let d2 = Dfa::from_nfa(&Nfa::from_regex(&r2, ab));
-        match d1.subset_of(&d2) {
+        match oracle::subset_of(&d1, &d2) {
             Ok(()) => {
                 // Spot-check on enumerated words of d1.
                 for w in d1.enumerate_words(3, 50) {
@@ -286,7 +287,7 @@ proptest! {
         }
     }
 
-    /// The bitset engine ([`NfaView`] over `CompiledNfa`) and the retained
+    /// The bitset engine ([`NfaView`] over `CompiledNfa`) and the
     /// `BTreeSet` reference engine ([`NfaViewRef`]) are byte-identical:
     /// same subset verdicts and witnesses, same shortest words, and the
     /// same materialized automaton — state numbering included — which also
@@ -294,15 +295,16 @@ proptest! {
     /// numbering.
     #[test]
     fn bitset_engine_matches_reference_engine(r1 in arb_regex(), r2 in arb_regex()) {
-        use shelley_regular::lang::{self, NfaView, NfaViewRef, Product};
+        use oracle::NfaViewRef;
+        use shelley_regular::lang::{self, NfaView, Product};
         let ab = alphabet();
         let n1 = Nfa::from_regex(&r1, ab.clone());
         let n2 = Nfa::from_regex(&r2, ab.clone());
 
         // Verdicts and witnesses.
         prop_assert_eq!(
-            lang::subset_of(&NfaView::new(&n1), &NfaView::new(&n2)),
-            lang::subset_of(&NfaViewRef::new(&n1), &NfaViewRef::new(&n2))
+            oracle::subset_of(&NfaView::new(&n1), &NfaView::new(&n2)),
+            oracle::subset_of(&NfaViewRef::new(&n1), &NfaViewRef::new(&n2))
         );
         prop_assert_eq!(
             lang::shortest_accepted(&NfaView::new(&n1)),
@@ -344,7 +346,8 @@ proptest! {
         r2 in arb_regex(),
         marker in 0..NSYMS
     ) {
-        use shelley_regular::lang::{NfaView, NfaViewRef};
+        use oracle::NfaViewRef;
+        use shelley_regular::lang::NfaView;
         use shelley_regular::ops;
         use std::collections::BTreeSet;
         let ab = alphabet();
@@ -377,8 +380,8 @@ proptest! {
 
         // Subset checks: verdict AND witness must be byte-identical.
         prop_assert_eq!(
-            lang::subset_of(&NfaView::new(&n1), &NfaView::new(&n2)),
-            d1.subset_of(&d2)
+            oracle::subset_of(&NfaView::new(&n1), &NfaView::new(&n2)).err(),
+            d1.difference(&d2).shortest_accepted()
         );
 
         // Boolean combinators: shortest accepted word must be identical to
@@ -447,7 +450,7 @@ proptest! {
         let recovered = nfa.to_regex();
         let d1 = Dfa::from_nfa(&nfa);
         let d2 = Dfa::from_nfa(&Nfa::from_regex(&recovered, ab));
-        prop_assert!(d1.equivalent(&d2).is_ok());
+        prop_assert!(oracle::equivalent(&d1, &d2).is_ok());
     }
 
     /// DFA-to-regex after minimization also recovers the language.
@@ -457,25 +460,77 @@ proptest! {
         let dfa = Dfa::from_nfa(&Nfa::from_regex(&r, ab.clone())).minimize();
         let back = dfa.to_regex();
         let d2 = Dfa::from_nfa(&Nfa::from_regex(&back, ab));
-        prop_assert!(dfa.equivalent(&d2).is_ok());
+        prop_assert!(oracle::equivalent(&dfa, &d2).is_ok());
     }
 }
 
+/// Runs the product's one inclusion engine, the antichain search, with
+/// `markers` invisible to the spec.
+fn antichain_check(
+    model: &Nfa,
+    spec: &Nfa,
+    markers: &std::collections::BTreeSet<Symbol>,
+) -> Result<(), Vec<Symbol>> {
+    use shelley_regular::{antichain, lang::NfaView};
+    antichain::projected_subset_counted(model, &NfaView::new(spec), markers).0
+}
+
+/// Asserts the three antichain-vs-classic guarantees on one pair: the
+/// same verdict, witnesses of equal length, and an antichain witness that
+/// replays (the model accepts it, the spec rejects its marker-erased
+/// projection).
+fn assert_antichain_matches_classic(
+    model: &Nfa,
+    spec: &Nfa,
+    markers: &std::collections::BTreeSet<Symbol>,
+) -> Result<(), TestCaseError> {
+    use shelley_regular::{lang::NfaView, ops};
+    let classic = ops::projected_subset(model, &NfaView::new(spec), markers);
+    match (classic, antichain_check(model, spec, markers)) {
+        (Ok(()), Ok(())) => {}
+        (Err(c), Err(p)) => {
+            prop_assert_eq!(c.len(), p.len(), "witness lengths diverge");
+            prop_assert!(model.accepts(&p), "witness not in the model");
+            prop_assert!(
+                !spec.accepts(&ops::strip_markers(&p, markers)),
+                "projection not outside the spec"
+            );
+        }
+        (c, p) => prop_assert!(false, "verdicts diverge: {:?} vs {:?}", c, p),
+    }
+    Ok(())
+}
+
+/// Regexes over 4 symbols, up to 8 levels deep: longer witnesses and wider
+/// macrostates than [`arb_regex`], where antichain pruning actually bites.
+fn arb_regex4() -> impl Strategy<Value = Regex> {
+    let leaf = prop_oneof![
+        1 => Just(Regex::epsilon()),
+        6 => (0..4usize).prop_map(|i| Regex::sym(Symbol::from_index(i))),
+    ];
+    leaf.prop_recursive(8, 64, 3, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Regex::concat(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Regex::union(a, b)),
+            inner.prop_map(Regex::star),
+        ]
+    })
+}
+
 proptest! {
-    /// The antichain inclusion engine and the classic product search give
+    /// The antichain inclusion engine and the classic unpruned search give
     /// the same verdict on every generated pair of languages, and when
     /// both find a violation the antichain's witness is exactly as short
     /// as the classic shortlex-minimal one and replays as a genuine
     /// counterexample (accepted by the model, rejected by the spec).
     #[test]
     fn antichain_subset_matches_classic(r1 in arb_regex(), r2 in arb_regex()) {
-        use shelley_regular::lang::{self, NfaView};
-        use shelley_regular::antichain;
+        use shelley_regular::lang::NfaView;
         let ab = alphabet();
         let n1 = Nfa::from_regex(&r1, ab.clone());
         let n2 = Nfa::from_regex(&r2, ab);
-        let classic = lang::subset_of(&NfaView::new(&n1), &NfaView::new(&n2));
-        let pruned = antichain::subset_of(&NfaView::new(&n1), &NfaView::new(&n2));
+        let classic = oracle::subset_of(&NfaView::new(&n1), &NfaView::new(&n2));
+        let pruned = antichain_check(&n1, &n2, &std::collections::BTreeSet::new());
         match (classic, pruned) {
             (Ok(()), Ok(())) => {}
             (Err(c), Err(p)) => {
@@ -497,48 +552,88 @@ proptest! {
         r2 in arb_regex(),
         marker in 0..NSYMS
     ) {
-        use shelley_regular::lang::NfaView;
-        use shelley_regular::{antichain, ops};
-        use std::collections::BTreeSet;
         let ab = alphabet();
         let model = Nfa::from_regex(&r1, ab.clone());
         let spec = Nfa::from_regex(&r2, ab);
-        let markers = BTreeSet::from([Symbol::from_index(marker)]);
-        let classic = ops::projected_subset(&model, &NfaView::new(&spec), &markers);
-        let pruned = antichain::projected_subset(&model, &NfaView::new(&spec), &markers);
-        match (classic, pruned) {
-            (Ok(()), Ok(())) => {}
-            (Err(c), Err(p)) => {
-                prop_assert_eq!(c.len(), p.len(), "witness lengths diverge");
-                prop_assert!(model.accepts(&p), "witness not in the model");
-                let stripped: Vec<Symbol> =
-                    p.iter().copied().filter(|s| !markers.contains(s)).collect();
-                prop_assert!(!spec.accepts(&stripped), "projection not outside the spec");
-            }
-            (c, p) => prop_assert!(false, "verdicts diverge: {:?} vs {:?}", c, p),
-        }
+        let markers = std::collections::BTreeSet::from([Symbol::from_index(marker)]);
+        assert_antichain_matches_classic(&model, &spec, &markers)?;
     }
 
-    /// The dense transition table embedded in every [`Dfa`] is a faithful
-    /// mirror of the nested reference table, on the raw subset-construction
-    /// automaton and on its minimized form alike: same stepping on every
-    /// (state, symbol) pair, same acceptance bits, same start state.
+    /// The flat transition table every [`Dfa`] stores agrees with the
+    /// `BTreeSet` reference engine, on the raw subset-construction
+    /// automaton and on its minimized form alike: for each state `q`
+    /// reached by word `w` and each symbol `s`, the table's successor
+    /// accepts exactly when the reference simulation of `w·s` does.
     #[test]
-    fn dense_table_matches_reference_table(r in arb_regex(), w in arb_word()) {
+    fn dense_table_agrees_with_reference_engine(r in arb_regex(), w in arb_word()) {
+        use shelley_regular::lang::Lang;
         let ab = alphabet();
-        let dfa = Dfa::from_nfa(&Nfa::from_regex(&r, ab.clone()));
+        let nfa = Nfa::from_regex(&r, ab.clone());
+        let reference = oracle::NfaViewRef::new(&nfa);
+        let dfa = Dfa::from_nfa(&nfa);
         for d in [&dfa, &dfa.minimize()] {
             let dense = d.dense();
             prop_assert_eq!(dense.num_states(), d.num_states());
             prop_assert_eq!(dense.start(), d.start());
             for q in 0..d.num_states() {
-                prop_assert_eq!(dense.is_accepting(q), d.is_accepting(q));
+                let word = d.shortest_word_to(q).expect("every state is reachable");
+                let subset = word.iter().fold(reference.start(), |set, &s| reference.step(&set, s));
+                prop_assert_eq!(d.is_accepting(q), reference.is_accepting(&subset));
                 for s in ab.symbols() {
-                    prop_assert_eq!(d.step(q, s), d.step_reference(q, s));
-                    prop_assert_eq!(dense.step(q, s), d.step_reference(q, s));
+                    prop_assert_eq!(dense.row(q)[s.index()] as usize, d.step(q, s));
+                    prop_assert_eq!(
+                        d.is_accepting(d.step(q, s)),
+                        reference.is_accepting(&reference.step(&subset, s))
+                    );
                 }
             }
         }
         prop_assert_eq!(dfa.accepts(&w), r.matches(&w));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The antichain-vs-classic guarantees on the wider 4-symbol, depth-8
+    /// family, with no marker or one of the four symbols as the marker.
+    #[test]
+    fn antichain_matches_classic_on_four_symbols(
+        r1 in arb_regex4(),
+        r2 in arb_regex4(),
+        marker in 0..5usize
+    ) {
+        let ab = Arc::new(Alphabet::from_names(["a", "b", "c", "d"]));
+        let model = Nfa::from_regex(&r1, ab.clone());
+        let spec = Nfa::from_regex(&r2, ab);
+        let markers: std::collections::BTreeSet<Symbol> =
+            (marker < 4).then(|| Symbol::from_index(marker)).into_iter().collect();
+        assert_antichain_matches_classic(&model, &spec, &markers)?;
+    }
+}
+
+/// A pinned pair where the antichain's witness is a *different* word of
+/// the same length as the classic shortlex-least one. After `a`, the spec
+/// `a*` still accepts; after `b` its macrostate is empty — a ⊆-smaller
+/// macrostate at the same distance — so the antichain prunes the `a`
+/// branch and reports `b, d, b`. This is why the usage check re-derives
+/// the paper's canonical counterexample with the classic search once the
+/// antichain has found a violation.
+#[test]
+fn antichain_witness_can_differ_from_the_shortlex_witness() {
+    use shelley_regular::lang::NfaView;
+    use shelley_regular::{ops, parse_regex};
+    let mut ab = Alphabet::new();
+    let model = parse_regex("((a + b) ; d) ; b", &mut ab).unwrap();
+    let spec = parse_regex("a*", &mut ab).unwrap();
+    let marker = ab.intern("d");
+    let ab = Arc::new(ab);
+    let model = Nfa::from_regex(&model, ab.clone());
+    let spec = Nfa::from_regex(&spec, ab.clone());
+    let markers = std::collections::BTreeSet::from([marker]);
+    let classic = ops::projected_subset(&model, &NfaView::new(&spec), &markers).unwrap_err();
+    let pruned = antichain_check(&model, &spec, &markers).unwrap_err();
+    assert_eq!(ab.render_word(&classic), "a, d, b");
+    assert_eq!(ab.render_word(&pruned), "b, d, b");
+    assert_antichain_matches_classic(&model, &spec, &markers).unwrap();
 }

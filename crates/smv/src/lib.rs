@@ -6,10 +6,10 @@
 //! (NFA) into a NuSMV model. Our approach is essentially to encode a
 //! regular-language as an ω-regular language."*
 //!
-//! This crate emits that artifact and — because NuSMV itself is not
-//! available offline — validates the encoding with an explicit-state
-//! simulator: the emitted transition relation must agree with the source
-//! automaton on every word up to a bound.
+//! This crate emits that artifact (`shelleyc smv`) and — because NuSMV
+//! itself is not available offline — validates the encoding with an
+//! explicit-state simulator: the emitted transition relation must agree
+//! with the source automaton on every word up to a bound.
 //!
 //! * [`SmvModel`] — a `MODULE main` AST with printer and simulator;
 //! * [`nfa_to_smv`] / [`dfa_to_smv`] — the regular → ω-regular encoding
@@ -17,11 +17,13 @@
 //!   `G (!alive -> accepted)` acceptance spec);
 //! * [`ltlf_to_ltl`] — the standard LTLf → LTL relativization to the
 //!   `alive` proposition for `@claim` formulas;
-//! * [`validate_model`] — exhaustive bounded agreement checking;
-//! * [`eval_spec`] / [`eval_model`] — an executable semantics for the
-//!   emitted `LTLSPEC` strings: parse them back (inlining `DEFINE`s) and
-//!   decide them over the padded traces of the encoded language, with
-//!   shortest counterexamples — what NuSMV would do, minus NuSMV.
+//! * [`validate_model`] — exhaustive bounded agreement checking.
+//!
+//! No claim check runs through this crate: the product decides claims with
+//! its explicit and symbolic engines. An executable semantics for the
+//! emitted `LTLSPEC` strings — what NuSMV would do, minus NuSMV — lives in
+//! the `shelley-oracle` support crate, where the differential suites hold
+//! both engines against it.
 //!
 //! # Example
 //!
@@ -43,13 +45,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod eval;
 mod ltl;
 mod model;
 mod translate;
 mod validate;
 
-pub use eval::{eval_model, eval_spec, EvalError, EvalOutcome};
 pub use ltl::{eval_padded, translate_formula, Ltl};
 pub use model::{sanitize, EnumVar, SmvModel, TransCase};
 pub use translate::{dfa_to_smv, ltlf_to_ltl, nfa_to_smv, STOP_EVENT};

@@ -1,6 +1,7 @@
-//! The differential backend harness: all three claim-checking engines —
-//! explicit joint search, symbolic BDD fixpoint, and the NuSMV-encoding
-//! evaluator — run on the same random system/claim pairs and must agree.
+//! The differential backend harness: both product claim-checking engines —
+//! explicit joint search and symbolic BDD fixpoint — and the
+//! NuSMV-encoding evaluator of `shelley-oracle` run on the same random
+//! system/claim pairs and must agree.
 //!
 //! Verdicts must be identical everywhere; where two engines both produce
 //! a counterexample it must be a genuine violating word of the model's
@@ -13,6 +14,7 @@
 //! test.
 
 use shelley_ltlf::{check_claim as explicit_check, eval, parse_formula, ClaimOutcome, Formula};
+use shelley_oracle::smv::check_claim as smv_check;
 use shelley_regular::{parse_regex, Alphabet, Nfa};
 use shelley_symbolic::check_claim as symbolic_check;
 use std::collections::BTreeSet;
@@ -94,28 +96,6 @@ fn random_pair(rng: &mut Lcg) -> (Nfa, Formula) {
     (Nfa::from_regex(&regex, Arc::new(ab)), claim)
 }
 
-/// Decides the claim through the NuSMV encoding: emit, evaluate the
-/// claim's `LTLSPEC`, and translate the witness back to symbols.
-fn smv_check(model: &Nfa, claim: &Formula) -> ClaimOutcome {
-    let smv = shelley_smv::nfa_to_smv(model, "differential", std::slice::from_ref(claim));
-    let outcome = shelley_smv::eval_spec(&smv, &smv.ltlspecs[1]).expect("emitted specs evaluate");
-    if outcome.holds {
-        return ClaimOutcome::Holds;
-    }
-    let counterexample = outcome
-        .counterexample
-        .expect("violations carry a witness")
-        .iter()
-        .map(|name| {
-            model
-                .alphabet()
-                .lookup(name)
-                .expect("sanitized names are identity on a/b/c")
-        })
-        .collect();
-    ClaimOutcome::Violated { counterexample }
-}
-
 #[test]
 fn the_three_engines_agree_on_random_system_claim_pairs() {
     let markers = BTreeSet::new();
@@ -126,7 +106,7 @@ fn the_three_engines_agree_on_random_system_claim_pairs() {
         let (model, claim) = random_pair(&mut rng);
         let explicit = explicit_check(&model, &claim, &markers);
         let symbolic = symbolic_check(&model, &claim, &markers);
-        let smv = smv_check(&model, &claim);
+        let smv = smv_check(&model, &claim, &markers);
 
         match (&explicit, &symbolic, &smv) {
             (ClaimOutcome::Holds, ClaimOutcome::Holds, ClaimOutcome::Holds) => {}

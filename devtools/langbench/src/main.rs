@@ -27,9 +27,11 @@
 use shelley_bench::adversarial_claim;
 use shelley_core::system::build_systems;
 use shelley_core::{analyze_class, Checker};
-use shelley_ltlf::{check_claim, to_dfa, Formula, MonitorView};
+use shelley_ltlf::{check_claim, Formula, MonitorView};
+use shelley_oracle::ltlf::to_dfa;
+use shelley_oracle::regular::{minimize_naive, NfaViewRef};
 use shelley_regular::antichain;
-use shelley_regular::lang::{self, Complement, Lang, NfaView, NfaViewRef};
+use shelley_regular::lang::{self, Complement, Lang, NfaView};
 use shelley_regular::{ops, Alphabet, Dfa, Nfa, Regex, Symbol};
 use shelley_symbolic::check_claim_counted;
 use std::collections::{BTreeSet, HashSet, VecDeque};
@@ -471,7 +473,9 @@ fn measure_inclusion(n: usize) -> PerfRow {
     assert!(verdict.is_ok(), "model must be included in spec");
     let reps = reps_for(n);
     let fast_ns = time(reps, || {
-        antichain::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok()
+        antichain::projected_subset_counted(&model, &NfaView::new(&spec), &markers)
+            .0
+            .is_ok()
     });
     let slow_ns = time(reps, || {
         ops::projected_subset(&model, &NfaView::new(&spec), &markers).is_ok()
@@ -492,7 +496,7 @@ fn measure_minimize(n: usize) -> PerfRow {
     let minimal = dfa.minimize().num_states();
     let reps = if n >= 10 { 3 } else { 10 };
     let fast_ns = time(reps, || dfa.minimize().num_states());
-    let slow_ns = time(reps, || dfa.minimize_naive().num_states());
+    let slow_ns = time(reps, || minimize_naive(&dfa).num_states());
     PerfRow {
         n,
         visited: dfa.num_states(),
