@@ -52,9 +52,10 @@ echo "==> langbench gates (lazy-vs-eager, bitset 2x, antichain 2x, hopcroft >= m
 # (>= 1x at n >= 12).
 cargo run -p langbench --release -q -- BENCH_lang.json BENCH_perf.json BENCH_sym.json > /dev/null
 
-echo "==> servebench gate (warm restart >= 2x cold on the 1k-class workspace)"
-# Writes BENCH_serve.json and asserts the persistent verify cache pays
-# for itself: a warm daemon restart must beat a cold start by >= 2x.
+echo "==> servebench gates (warm restart >= 2x cold, steady state >= 25x cold on the 1k-class workspace)"
+# Writes BENCH_serve.json and asserts both caches pay for themselves: a
+# warm daemon restart must beat a cold start by >= 2x, and a round in a
+# live workspace that re-verifies nothing by >= 25x.
 cargo run -p servebench --release -q -- BENCH_serve.json
 
 echo "==> corpus gates (strict examples, 200-file recovering sweep)"

@@ -14,6 +14,7 @@ use crate::verify::usage::{check_usage_counted, UsageViolation};
 use micropython_parser::ast::ClassDef;
 use micropython_parser::SourceFile;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The result of verifying one source file.
 #[derive(Debug, Clone, Default)]
@@ -58,12 +59,16 @@ impl CheckReport {
 }
 
 /// The verified systems plus everything the verifier computed for them.
+///
+/// Systems and integration automata are shared with the per-class caches
+/// of the [`Workspace`](crate::workspace::Workspace) that produced them:
+/// cloning or dropping a `Checked` copies no automaton.
 #[derive(Debug, Clone)]
 pub struct Checked {
     /// All systems of the module.
     pub systems: SystemSet,
     /// Integration automata of composite systems, by class name.
-    pub integrations: Vec<(String, Integration)>,
+    pub integrations: Vec<(String, Arc<Integration>)>,
     /// The report.
     pub report: CheckReport,
 }
@@ -77,7 +82,7 @@ pub struct Checked {
 #[derive(Debug, Clone, Default)]
 pub struct SystemVerdict {
     /// The integration automaton, for composite systems.
-    pub integration: Option<Integration>,
+    pub integration: Option<Arc<Integration>>,
     /// `E100`/`E101` findings plus claim-parse diagnostics.
     pub diagnostics: Diagnostics,
     /// `INVALID SUBSYSTEM USAGE` failures of this class.
@@ -134,8 +139,10 @@ pub fn verify_system(
             .filter(|sub| proven.contains(&sub.field))
             .count();
     }
-    let integration = system.is_composite().then(|| build_integration(system));
-    if let Some(ref integ) = integration {
+    let integration = system
+        .is_composite()
+        .then(|| Arc::new(build_integration(system)));
+    if let Some(integ) = &integration {
         let (checked, search) = check_usage_counted(system, systems, integ, proven);
         verdict.antichain_frontier = search.frontier as u64;
         verdict.antichain_pruned = search.pruned as u64;
@@ -155,7 +162,7 @@ pub fn verify_system(
     }
     for v in check_claims(
         system,
-        integration.as_ref(),
+        integration.as_deref(),
         backend,
         &mut verdict.diagnostics,
     ) {

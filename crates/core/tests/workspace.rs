@@ -6,9 +6,11 @@
 use proptest::prelude::*;
 use shelley_core::annotations::OpKind;
 use shelley_core::spec::{ClassSpec, ExitSpec, OperationSpec};
-use shelley_core::{Backend, Checked, Checker, LintConfig, ProjectFile, INPUT_NAME};
+use shelley_core::{Backend, Checked, Checker, Integration, LintConfig, ProjectFile, INPUT_NAME};
 use shelley_oracle::pipeline::check_module_direct;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 const VALVE_PY: &str = r#"
 @sys
@@ -443,6 +445,126 @@ fn check_files_matches_per_file_workspace_rounds() {
     );
 }
 
+/// Which classes of `a` have the very same system and integration
+/// allocations in `b`. Both reports hold their allocations, so none of
+/// `a`'s can have been freed and reused for `b`.
+fn same_allocations(a: &Checked, b: &Checked) -> BTreeMap<String, bool> {
+    let integration = |checked: &Checked, class: &str| -> Option<Arc<Integration>> {
+        checked
+            .integrations
+            .iter()
+            .find(|(name, _)| name == class)
+            .map(|(_, i)| i.clone())
+    };
+    a.systems
+        .iter()
+        .map(|system| {
+            let other = b.systems.get(&system.name).expect("same classes");
+            let same_integration =
+                match (integration(a, &system.name), integration(b, &system.name)) {
+                    (Some(x), Some(y)) => Arc::ptr_eq(&x, &y),
+                    (None, None) => true,
+                    _ => false,
+                };
+            let same = std::ptr::eq(system, other) && same_integration;
+            (system.name.clone(), same)
+        })
+        .collect()
+}
+
+#[test]
+fn rounds_share_per_class_artifacts_and_an_edit_renews_only_its_dependents() {
+    let mut ws = Checker::new().jobs(2).into_workspace();
+    ws.set_file("valve.py", VALVE_PY);
+    ws.set_file("led.py", LED_PY);
+    ws.set_file("sector_a.py", SECTOR_A_PY);
+    ws.set_file("sector_b.py", SECTOR_B_PY);
+    let cold = ws.check().unwrap();
+    let first = ws.check().unwrap();
+    let second = ws.check().unwrap();
+    assert_eq!(cold.systems.len(), 4);
+    assert_eq!(
+        cold.integrations.len(),
+        2,
+        "both sectors carry an integration automaton"
+    );
+    for round in [&first, &second] {
+        assert!(
+            same_allocations(&cold, round).values().all(|&same| same),
+            "a no-op round hands out the cached allocations"
+        );
+    }
+
+    // Editing the Valve device renews Valve and its composite SectorA;
+    // Led and SectorB keep their allocations.
+    ws.set_file("valve.py", VALVE_PY.replace("if ok:", "if ready:"));
+    let edited = ws.check().unwrap();
+    let same = same_allocations(&second, &edited);
+    assert_eq!(
+        same.into_iter().collect::<Vec<_>>(),
+        [
+            ("Led".to_string(), true),
+            ("SectorA".to_string(), false),
+            ("SectorB".to_string(), true),
+            ("Valve".to_string(), false),
+        ]
+    );
+}
+
+/// The `(class fingerprint, dependency fingerprint)` keys that
+/// `save_disk_cache` writes for a two-file project, sorted.
+fn saved_keys(backend: Backend) -> Vec<(u64, u64)> {
+    let dir =
+        std::env::temp_dir().join(format!("shelley-ws-keys-{}-{backend}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("verify.ndjson");
+    let mut ws = Checker::new().jobs(1).into_workspace();
+    ws.set_backend(backend);
+    ws.set_file("valve.py", VALVE_PY);
+    ws.set_file("sector_a.py", SECTOR_A_PY);
+    ws.check().unwrap();
+    assert_eq!(ws.save_disk_cache(&cache).unwrap(), 2);
+    let text = std::fs::read_to_string(&cache).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let field = |line: &str, name: &str| -> u64 {
+        let at = line.find(name).unwrap() + name.len();
+        let digits: String = line[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    let mut keys: Vec<(u64, u64)> = text
+        .lines()
+        .skip(1)
+        .map(|line| (field(line, "\"class_fp\":"), field(line, "\"dep_fp\":")))
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// The verify-cache keys are the on-disk cache keys: a change to how they
+/// are hashed loses no correctness, but silently turns every warm restart
+/// of an existing cache file cold. These are the values the format has
+/// always written.
+#[test]
+fn verify_cache_keys_are_pinned() {
+    assert_eq!(
+        saved_keys(Backend::Auto),
+        [
+            (3234043265091796686, 7399491418975089699),
+            (11921935239403436303, 13922123776871237117),
+        ]
+    );
+    assert_eq!(
+        saved_keys(Backend::Symbolic),
+        [
+            (3234043265091796686, 15212642299759111151),
+            (11921935239403436303, 16419130007466594273),
+        ]
+    );
+}
+
 /// A random, structurally sane spec: `n` operations, each with one exit
 /// whose next-set references defined operations; op 0 is initial, the
 /// last op is final.
@@ -641,5 +763,209 @@ proptest! {
         let reference = fingerprint_report(&check_module_direct(&module, &LintConfig::default()));
         let parallel = Checker::new().jobs(4).check_source(&src).unwrap();
         prop_assert_eq!(fingerprint_report(&parallel), reference);
+    }
+}
+
+/// One class of the edit-sequence model: a two-operation device, or a
+/// composite driving one device field.
+#[derive(Debug, Clone)]
+struct ModelClass {
+    name: String,
+    sys: bool,
+    /// `None` for devices; the field's class for composites.
+    field_class: Option<String>,
+    /// Selects one of two device protocols.
+    variant: bool,
+}
+
+impl ModelClass {
+    fn template(name: &str) -> ModelClass {
+        ModelClass {
+            name: name.to_string(),
+            sys: true,
+            field_class: name.strip_prefix("App").map(|n| format!("Dev{n}")),
+            variant: false,
+        }
+    }
+
+    fn render(&self, out: &mut String) {
+        match &self.field_class {
+            None => {
+                if self.sys {
+                    let _ = writeln!(out, "@sys");
+                }
+                let back = if self.variant { "" } else { "\"on\"" };
+                let _ = writeln!(out, "class {}:", self.name);
+                let _ = writeln!(out, "    @op_initial\n    def on(self):");
+                let _ = writeln!(out, "        return [\"off\"]\n");
+                let _ = writeln!(out, "    @op_final\n    def off(self):");
+                let _ = writeln!(out, "        return [{back}]\n");
+            }
+            Some(class) => {
+                if self.sys {
+                    let _ = writeln!(out, "@sys([\"d\"])");
+                }
+                let _ = writeln!(out, "class {}:", self.name);
+                let _ = writeln!(out, "    def __init__(self):");
+                let _ = writeln!(out, "        self.d = {class}()\n");
+                let _ = writeln!(out, "    @op_initial_final\n    def run(self):");
+                let _ = writeln!(out, "        self.d.on()\n        self.d.off()");
+                let _ = writeln!(out, "        return []\n");
+            }
+        }
+    }
+}
+
+/// A project in workspace order, as the workspace sees it.
+#[derive(Debug, Clone)]
+struct Model {
+    files: Vec<(String, Vec<ModelClass>)>,
+    next_file: usize,
+}
+
+const MODEL_CLASSES: [&str; 4] = ["Dev0", "Dev1", "App0", "App1"];
+
+impl Model {
+    fn new() -> Model {
+        let t = ModelClass::template;
+        Model {
+            files: vec![
+                ("a.py".to_string(), vec![t("Dev0"), t("App0")]),
+                ("b.py".to_string(), vec![t("Dev1"), t("App1")]),
+            ],
+            next_file: 0,
+        }
+    }
+
+    fn source(classes: &[ModelClass]) -> String {
+        let mut out = String::new();
+        for class in classes {
+            class.render(&mut out);
+        }
+        out
+    }
+
+    fn project(&self) -> Vec<ProjectFile> {
+        self.files
+            .iter()
+            .map(|(name, classes)| ProjectFile::new(name.clone(), Model::source(classes)))
+            .collect()
+    }
+
+    fn first_named(&mut self, name: &str) -> Option<&mut ModelClass> {
+        self.files
+            .iter_mut()
+            .flat_map(|(_, classes)| classes.iter_mut())
+            .find(|class| class.name == name)
+    }
+
+    /// Applies edit `op` (picking by `a` and `b`) to the model and the
+    /// workspace alike; an edit that does not apply leaves both alone.
+    fn apply(&mut self, ws: &mut shelley_core::Workspace, op: u8, a: usize, b: usize) {
+        let len = self.files.len();
+        let touched: Vec<usize> = match op {
+            // Add a file holding one class of the pool.
+            0 => {
+                let name = format!("new{}.py", self.next_file);
+                self.next_file += 1;
+                let class = ModelClass::template(MODEL_CLASSES[a % MODEL_CLASSES.len()]);
+                self.files.push((name, vec![class]));
+                vec![self.files.len() - 1]
+            }
+            // Remove a file.
+            1 if len > 0 => {
+                let (name, _) = self.files.remove(a % len);
+                assert!(ws.remove_file(&name));
+                Vec::new()
+            }
+            // Move a class to another file.
+            2 if len > 1 && a % len != b % len && !self.files[a % len].1.is_empty() => {
+                let class = self.files[a % len].1.pop().unwrap();
+                self.files[b % len].1.push(class);
+                vec![a % len, b % len]
+            }
+            // Define a class a second time, in another file or the same.
+            3 if len > 0 && !self.files[a % len].1.is_empty() => {
+                let class = self.files[a % len].1[0].clone();
+                self.files[b % len].1.push(class);
+                vec![b % len]
+            }
+            // Toggle `@sys` on a subsystem.
+            4 => self.edit(&format!("Dev{}", a % 2), |c| c.sys = !c.sys),
+            // Re-point a composite's field, possibly to a missing class.
+            5 => {
+                let target = ["Dev0", "Dev1", "Missing"][b % 3];
+                self.edit(&format!("App{}", a % 2), |c| {
+                    c.field_class = Some(target.to_string())
+                })
+            }
+            // Change a device protocol.
+            6 => self.edit(&format!("Dev{}", a % 2), |c| c.variant = !c.variant),
+            _ => Vec::new(),
+        };
+        for i in touched {
+            let (name, classes) = &self.files[i];
+            ws.set_file(name.clone(), Model::source(classes));
+        }
+    }
+
+    /// Edits the first class called `name`; returns the file it is in.
+    fn edit(&mut self, name: &str, f: impl FnOnce(&mut ModelClass)) -> Vec<usize> {
+        let Some(class) = self.first_named(name) else {
+            return Vec::new();
+        };
+        f(class);
+        self.files
+            .iter()
+            .position(|(_, classes)| classes.iter().any(|c| c.name == name))
+            .into_iter()
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The state a workspace keeps across rounds — the spec index, cache
+    /// eviction and the class-key index — never lets a round drift from a
+    /// fresh check of the same files: after every edit of a random
+    /// sequence, the report, every class's statistics and the records a
+    /// cache save writes equal those of a workspace that never saw the
+    /// earlier rounds.
+    #[test]
+    fn edit_sequences_match_a_fresh_workspace(
+        edits in proptest::collection::vec((0u8..7, 0usize..8, 0usize..8), 1..12),
+    ) {
+        let dir = std::env::temp_dir().join(format!("shelley-ws-edits-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = dir.join("verify.ndjson");
+        let mut model = Model::new();
+        let mut ws = Checker::new().jobs(2).into_workspace();
+        for file in model.project() {
+            ws.set_file(file.name, file.source);
+        }
+        ws.check().unwrap();
+        for (op, a, b) in edits {
+            model.apply(&mut ws, op, a, b);
+            let incremental = ws.check().unwrap();
+            let project = model.project();
+            let fresh = Checker::new().jobs(1).check_files(&project).unwrap();
+            prop_assert_eq!(fingerprint_report(&incremental), fingerprint_report(&fresh));
+
+            let mut fresh_ws = Checker::new().jobs(1).into_workspace();
+            for file in project {
+                fresh_ws.set_file(file.name, file.source);
+            }
+            fresh_ws.check().unwrap();
+            for class in MODEL_CLASSES.iter().chain(&["Missing"]) {
+                prop_assert_eq!(ws.class_stats(class), fresh_ws.class_stats(class));
+            }
+            prop_assert_eq!(
+                ws.save_disk_cache(&cache).unwrap(),
+                fresh_ws.save_disk_cache(&cache).unwrap(),
+                "superseded verify-cache entries are evicted"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

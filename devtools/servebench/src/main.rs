@@ -12,9 +12,11 @@
 //! * **steady_state** — a re-check in a live workspace: everything is an
 //!   in-memory fingerprint hit.
 //!
-//! The emitted `gate` asserts the cache pays for itself: a warm restart
-//! must be at least 2x faster than a cold start. The runner exits
-//! nonzero when the gate fails, so CI can call it directly.
+//! The emitted `gate` asserts that both caches pay for themselves: a warm
+//! restart must be at least 2x faster than a cold start, and a steady-state
+//! round at least 25x faster — a round that re-verifies nothing must cost
+//! far less than one that verifies everything. The runner exits nonzero
+//! when a gate fails, so CI can call it directly.
 //!
 //! Run with `cargo run -p servebench --release [OUT.json]`.
 
@@ -24,6 +26,12 @@ use std::time::Instant;
 
 /// Classes in the synthetic workspace (~1k, the issue's target size).
 const CLASSES: usize = 1000;
+
+/// Minimum cold ÷ warm-restart speedup.
+const WARM_RESTART_GATE: f64 = 2.0;
+
+/// Minimum cold ÷ steady-state speedup.
+const STEADY_STATE_GATE: f64 = 25.0;
 
 /// Timing repetitions; the median is reported.
 const REPS: usize = 5;
@@ -164,7 +172,9 @@ fn main() {
     steady.ns = steady_ns;
 
     let speedup = cold.ns as f64 / warm.ns.max(1) as f64;
-    let gate_ok = speedup >= 2.0;
+    let gate_ok = speedup >= WARM_RESTART_GATE;
+    let steady_speedup = cold.ns as f64 / steady.ns.max(1) as f64;
+    let steady_gate_ok = steady_speedup >= STEADY_STATE_GATE;
 
     let doc = obj(vec![
         ("bench", Value::Str("serve_cache".to_string())),
@@ -195,6 +205,14 @@ fn main() {
                     "warm_restart_speedup",
                     Value::Float((speedup * 100.0).round() / 100.0),
                 ),
+                (
+                    "steady_state_at_least_25x_cold",
+                    Value::Bool(steady_gate_ok),
+                ),
+                (
+                    "steady_state_speedup",
+                    Value::Float((steady_speedup * 100.0).round() / 100.0),
+                ),
             ]),
         ),
     ]);
@@ -202,13 +220,20 @@ fn main() {
     let _ = std::fs::remove_file(&cache);
 
     eprintln!(
-        "cold {:.1}ms, warm restart {:.1}ms ({speedup:.2}x), steady state {:.1}ms -> {out_path}",
+        "cold {:.1}ms, warm restart {:.1}ms ({speedup:.2}x), steady state {:.1}ms \
+         ({steady_speedup:.2}x) -> {out_path}",
         cold.ns as f64 / 1e6,
         warm.ns as f64 / 1e6,
         steady.ns as f64 / 1e6,
     );
     assert!(
         gate_ok,
-        "GATE FAILED: warm restart only {speedup:.2}x faster than cold (need >= 2x)"
+        "GATE FAILED: warm restart only {speedup:.2}x faster than cold \
+         (need >= {WARM_RESTART_GATE}x)"
+    );
+    assert!(
+        steady_gate_ok,
+        "GATE FAILED: steady state only {steady_speedup:.2}x faster than cold \
+         (need >= {STEADY_STATE_GATE}x)"
     );
 }
