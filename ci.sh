@@ -72,7 +72,7 @@ target/release/corpusgen "$CORPUS_DIR" 200 > /dev/null
     --min-parse 95 --min-extract 90 > /dev/null
 rm -rf "$CORPUS_DIR"
 
-echo "==> daemon smoke test (serve over a socket, check, shutdown)"
+echo "==> daemon smoke test (serve over a socket, check, configure, shutdown)"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 cat > "$SMOKE_DIR/led.py" <<'EOF'
@@ -93,6 +93,9 @@ SERVE_PID=$!
 for _ in $(seq 100); do [ -S "$SMOKE_DIR/daemon.sock" ] && break; sleep 0.1; done
 [ -S "$SMOKE_DIR/daemon.sock" ] || { echo "daemon socket never appeared"; exit 1; }
 "$SHELLEYC" connect "$SMOKE_DIR/daemon.sock" "$SMOKE_DIR/led.py" \
+    | grep -q "OK: 1 system(s) verified"
+# `--recover` sends a `configure` frame before the check.
+"$SHELLEYC" connect "$SMOKE_DIR/daemon.sock" "$SMOKE_DIR/led.py" --recover \
     | grep -q "OK: 1 system(s) verified"
 "$SHELLEYC" connect "$SMOKE_DIR/daemon.sock" --shutdown
 wait "$SERVE_PID"

@@ -29,7 +29,7 @@
 
 use shelley_core::extract::dependency::DependencyGraph;
 use shelley_core::{
-    build_integration, integration_diagram, spec_diagram, Backend, Checker, LintConfig, LintLevel,
+    build_integration, integration_diagram, spec_diagram, Checker, LintConfig, LintLevel,
 };
 use shelley_daemon::{Client, Engine};
 use shelley_smv::nfa_to_smv;
@@ -60,15 +60,13 @@ const USAGE: &str = "usage:
   shelleyc check <file.py> [more.py ...]
       [-A <code>] [-W <code>] [-D <code>|-D warnings] [--deny-warnings]
       [--format text|json|sarif] [--jobs N] [--recover]
-      [--backend auto|explicit|symbolic]
   shelleyc corpus <dir> [--recover] [--json <path>]
       [--min-parse <pct>] [--min-extract <pct>] [--min-verify <pct>] [--jobs N]
-  shelleyc watch <file.py> [more.py ...] [--jobs N] [--recover] [--backend <name>]
+  shelleyc watch <file.py> [more.py ...] [--jobs N] [--recover]
       (then `check` or `quit` on stdin)
   shelleyc serve [--socket <path>] [--cache <path>] [--jobs N] [--recover]
-      [--backend <name>]
       (JSON protocol on stdin/stdout, or many clients on the socket)
-  shelleyc connect <socket> [file.py ...] [--shutdown] [--recover] [--backend <name>]
+  shelleyc connect <socket> [file.py ...] [--shutdown] [--recover]
       [--stats] [--format text|json]
   shelleyc diagram <file.py> <Class>
   shelleyc deps <file.py> <Class>
@@ -107,7 +105,6 @@ struct Options {
     min_parse: Option<f64>,
     min_extract: Option<f64>,
     min_verify: Option<f64>,
-    backend: Backend,
     stats: bool,
 }
 
@@ -125,7 +122,6 @@ impl Default for Options {
             min_parse: None,
             min_extract: None,
             min_verify: None,
-            backend: Backend::Auto,
             stats: false,
         }
     }
@@ -284,16 +280,6 @@ const FLAGS: &[Flag] = &[
             Ok(())
         },
     },
-    Flag {
-        names: &["--backend"],
-        value: Some("backend name"),
-        apply: |opts, _, value| {
-            opts.backend = value
-                .parse()
-                .map_err(|e: shelley_core::ParseBackendError| CliError::Usage(e.to_string()))?;
-            Ok(())
-        },
-    },
 ];
 
 fn parse_percentage(flag: &str, value: &str) -> Result<f64, CliError> {
@@ -355,8 +341,7 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
     let checker = Checker::new()
         .lints(opts.config.clone())
         .jobs(opts.jobs)
-        .recover(opts.recover)
-        .backend(opts.backend);
+        .recover(opts.recover);
     if cmd == "watch" {
         return run_watch(&args[1..], checker);
     }
@@ -854,8 +839,8 @@ fn run_connect(args: &[String], opts: &Options) -> Result<String, CliError> {
         .map_err(|e| CliError::Usage(format!("cannot connect to {socket}: {e}")))?;
     let fail = |e: std::io::Error| CliError::Usage(format!("daemon request failed: {e}"));
     client.hello().map_err(fail)?;
-    if opts.recover || opts.backend != Backend::Auto {
-        client.configure(opts.recover, opts.backend).map_err(fail)?;
+    if opts.recover {
+        client.configure(true).map_err(fail)?;
     }
     let mut files = Vec::new();
     for path in &args[1..] {

@@ -702,14 +702,7 @@ fn usage_string_agrees_with_the_flag_table() {
         "--min-extract",
         "--min-verify",
         "--stats",
-        "--backend",
     ];
-    // The backend values are spelled out once, and only the ones the
-    // parser accepts.
-    assert!(
-        usage.contains("[--backend auto|explicit|symbolic]\n"),
-        "{usage}"
-    );
     for flag in flags {
         assert!(
             usage.contains(flag),
@@ -726,47 +719,27 @@ fn usage_string_agrees_with_the_flag_table() {
 }
 
 #[test]
-fn check_accepts_every_backend_with_identical_verdicts() {
+fn backend_is_an_unknown_flag_everywhere() {
+    // The claim engine is picked per claim, never by the user: every
+    // command rejects `--backend` before doing any work.
     let path = write_temp("paper_backend.py", PAPER);
-    let auto = shelleyc(&["check", path.to_str().unwrap()]);
-    for backend in ["auto", "explicit", "symbolic"] {
-        let run = shelleyc(&["check", path.to_str().unwrap(), "--backend", backend]);
-        assert_eq!(run, auto, "--backend {backend} diverged");
-    }
-    let (_, stderr, code) = shelleyc(&["check", path.to_str().unwrap(), "--backend", "nusmv"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown backend `nusmv`"), "{stderr}");
-}
-
-#[test]
-fn the_retired_smv_backend_is_a_usage_error_everywhere() {
-    // The NuSMV-encoding evaluator is a test oracle, not a backend: every
-    // command taking `--backend` rejects `smv` before doing any work,
-    // naming the values that remain. (`shelleyc smv` export is unaffected.)
-    let path = write_temp("paper_smv_backend.py", PAPER);
     let file = path.to_str().unwrap();
     let socket = std::env::temp_dir().join("shelleyc-no-such-daemon.sock");
     let socket = socket.to_str().unwrap();
     for args in [
-        vec!["check", file, "--backend", "smv"],
-        vec!["watch", file, "--backend", "smv"],
-        vec!["serve", "--socket", socket, "--backend", "smv"],
-        vec!["connect", socket, file, "--backend", "smv"],
+        vec!["check", file, "--backend", "symbolic"],
+        vec!["watch", file, "--backend", "symbolic"],
+        vec!["serve", "--socket", socket, "--backend", "symbolic"],
+        vec!["connect", socket, file, "--backend", "symbolic"],
     ] {
         let (stdout, stderr, code) = shelleyc(&args);
         assert_eq!(code, Some(2), "{args:?}: {stdout}{stderr}");
         assert!(
-            stderr.contains("unknown backend `smv` (expected auto, explicit, or symbolic)"),
+            stderr.contains("unknown flag `--backend`"),
             "{args:?}: {stderr}"
         );
-        assert!(
-            stderr.contains("[--backend auto|explicit|symbolic]"),
-            "{stderr}"
-        );
+        assert!(!stderr.contains("[--backend"), "{stderr}");
     }
-    let (stdout, _, code) = shelleyc(&["smv", file, "Valve"]);
-    assert_eq!(code, Some(0));
-    assert!(stdout.contains("MODULE main"), "{stdout}");
 }
 
 #[test]

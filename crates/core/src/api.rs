@@ -18,9 +18,9 @@
 //! clients can surface per-file results as they arrive:
 //!
 //! ```text
-//! → {"id":1,"method":{"hello":{"version":4}}}
-//! ← {"id":1,"body":{"hello":{"version":4,"server":"shelleyc"}}}
-//! → {"id":2,"method":{"configure":{"recover":true,"backend":"auto"}}}
+//! → {"id":1,"method":{"hello":{"version":5}}}
+//! ← {"id":1,"body":{"hello":{"version":5,"server":"shelleyc"}}}
+//! → {"id":2,"method":{"configure":{"recover":true}}}
 //! ← {"id":2,"body":"ok"}
 //! → {"id":3,"method":{"open":{"path":"valve.py","text":"..."}}}
 //! ← {"id":3,"body":"ok"}
@@ -30,16 +30,15 @@
 //! ```
 //!
 //! Version 2 added the `configure` method (recovery mode). Version 3
-//! extended `configure` with the claim-checking `backend`
-//! ([`crate::backend::Backend`]). Version 4 added the antichain
-//! inclusion-engine counters (`antichain_frontier`/`antichain_pruned`) to
-//! [`WorkspaceStats`], carried by the `stats` and `check` replies;
-//! everything else is unchanged. The `backend` values are `auto`,
-//! `explicit` and `symbolic`; a `configure` naming any other engine
-//! (such as the retired `smv`) gets an `error` reply and leaves the
-//! session as it was.
+//! extended `configure` with the claim-checking `backend`. Version 4
+//! added the antichain inclusion-engine counters
+//! (`antichain_frontier`/`antichain_pruned`) to [`WorkspaceStats`],
+//! carried by the `stats` and `check` replies. Version 5 removed
+//! `backend` from `configure` again: the daemon picks each claim's engine
+//! from the claim (see [`crate::backend`]), so a client cannot choose
+//! one. A v4 client's `hello` gets an `error` reply naming both versions;
+//! everything else is unchanged.
 
-use crate::backend::Backend;
 use crate::checker::CheckError;
 use crate::diagnostics::{resolved_file, Diagnostic, Diagnostics, Severity};
 use crate::pipeline::{CheckReport, Checked};
@@ -52,7 +51,7 @@ use micropython_parser::SourceFile;
 ///
 /// Bump on any incompatible change to the types in this module; the
 /// daemon rejects `hello` requests carrying a different version.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// The server name announced in [`ReplyBody::Hello`].
 pub const SERVER_NAME: &str = "shelleyc";
@@ -96,16 +95,11 @@ pub enum Method {
         path: String,
     },
     /// Reconfigures the workspace. Switching `recover` re-parses every
-    /// open file under the new grammar on the next `check`; switching
-    /// `backend` changes which engine decides claims, and the next `check`
-    /// re-verifies under it (the engines agree on verdicts but may pick
-    /// different counterexamples).
+    /// open file under the new grammar on the next `check`.
     Configure {
         /// Recovery mode: total parsing with degrade-to-`skip` (`W014`)
         /// instead of strict subset errors.
         recover: bool,
-        /// The claim-checking engine (see [`crate::backend`]).
-        backend: Backend,
     },
     /// Runs one verification round over the current file set.
     Check,
@@ -439,19 +433,16 @@ mod tests {
             (
                 Request {
                     id: 1,
-                    method: Method::Hello { version: 4 },
+                    method: Method::Hello { version: 5 },
                 },
-                r#"{"id":1,"method":{"hello":{"version":4}}}"#,
+                r#"{"id":1,"method":{"hello":{"version":5}}}"#,
             ),
             (
                 Request {
                     id: 6,
-                    method: Method::Configure {
-                        recover: true,
-                        backend: Backend::Symbolic,
-                    },
+                    method: Method::Configure { recover: true },
                 },
-                r#"{"id":6,"method":{"configure":{"recover":true,"backend":"symbolic"}}}"#,
+                r#"{"id":6,"method":{"configure":{"recover":true}}}"#,
             ),
             (
                 Request {
@@ -502,7 +493,7 @@ mod tests {
                         server: SERVER_NAME.into(),
                     },
                 },
-                r#"{"id":1,"body":{"hello":{"version":4,"server":"shelleyc"}}}"#,
+                r#"{"id":1,"body":{"hello":{"version":5,"server":"shelleyc"}}}"#,
             ),
             (
                 Reply {

@@ -1,4 +1,4 @@
-//! Claim-checking backend selection.
+//! Claim-engine selection.
 //!
 //! Two engines can decide a temporal claim `L(model) ⊆ L(φ)`:
 //!
@@ -13,20 +13,18 @@
 //! Both are **verdict-identical** and find witnesses of equal length —
 //! the differential suite in `shelley-symbolic` pins this on thousands of
 //! random system/claim pairs, with the NuSMV-encoding evaluator of the
-//! `shelley-oracle` support crate as a third opinion — so [`Backend`] is a
-//! performance knob, not a semantics knob. The two engines may still pick
-//! *different* shortest counterexamples, which is why a
-//! [`Workspace`](crate::Workspace) keys its verify cache by backend.
-//! The default [`Backend::Auto`] resolves per claim: it estimates the
-//! monitor state count as `2^t` for `t` temporal connectives in the
-//! negated claim and switches to the symbolic engine at
-//! [`AUTO_SYMBOLIC_THRESHOLD`]. Every claim in the paper's examples sits
-//! far below the threshold, so `auto` behaves exactly like `explicit`
-//! on them.
+//! `shelley-oracle` support crate as a third opinion. They may still pick
+//! *different* shortest counterexamples, so the choice is not left to the
+//! user: the product always uses [`Backend::Auto`], which resolves per
+//! claim from the claim alone. It estimates the monitor state count as
+//! `2^t` for `t` temporal connectives in the negated claim and switches
+//! to the symbolic engine at [`AUTO_SYMBOLIC_THRESHOLD`]. Every claim in
+//! the paper's examples sits far below the threshold, so they are all
+//! decided by the explicit engine. The fixed variants exist so that
+//! [`check_claims`](crate::check_claims) callers — the engine-vs-engine
+//! tests and benches — can run one engine on every claim.
 
 use shelley_ltlf::Formula;
-use std::fmt;
-use std::str::FromStr;
 
 /// Monitor-state estimates at or above this make [`Backend::Auto`]
 /// resolve to the symbolic engine (`4096 = 2¹²`: roughly where explicit
@@ -34,24 +32,10 @@ use std::str::FromStr;
 pub const AUTO_SYMBOLIC_THRESHOLD: u64 = 4096;
 
 /// Which engine decides temporal claims. See the [module docs](self).
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    Default,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    serde::Serialize,
-    serde::Deserialize,
-)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Resolve per claim: explicit below [`AUTO_SYMBOLIC_THRESHOLD`],
     /// symbolic at or above it.
-    #[default]
     Auto,
     /// Always the explicit joint breadth-first search.
     Explicit,
@@ -97,81 +81,11 @@ fn temporal_count(f: &Formula) -> u32 {
     }
 }
 
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Backend::Auto => "auto",
-            Backend::Explicit => "explicit",
-            Backend::Symbolic => "symbolic",
-        })
-    }
-}
-
-/// The error of parsing an unknown backend name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseBackendError {
-    input: String,
-}
-
-impl fmt::Display for ParseBackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown backend `{}` (expected auto, explicit, or symbolic)",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseBackendError {}
-
-impl FromStr for Backend {
-    type Err = ParseBackendError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Backend::Auto),
-            "explicit" => Ok(Backend::Explicit),
-            "symbolic" => Ok(Backend::Symbolic),
-            other => Err(ParseBackendError {
-                input: other.to_owned(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::json;
     use shelley_ltlf::parse_formula;
     use shelley_regular::Alphabet;
-
-    #[test]
-    fn names_round_trip_through_display_and_from_str() {
-        for backend in [Backend::Auto, Backend::Explicit, Backend::Symbolic] {
-            assert_eq!(backend.to_string().parse::<Backend>().unwrap(), backend);
-        }
-        assert!("nusmv".parse::<Backend>().is_err());
-        let e = "?".parse::<Backend>().unwrap_err();
-        assert!(e.to_string().contains("unknown backend `?`"));
-        // The NuSMV-encoding evaluator is no longer a backend; the error
-        // lists the values that are.
-        let e = "smv".parse::<Backend>().unwrap_err();
-        assert_eq!(
-            e.to_string(),
-            "unknown backend `smv` (expected auto, explicit, or symbolic)"
-        );
-    }
-
-    #[test]
-    fn wire_encoding_is_the_lowercase_name() {
-        assert_eq!(json::to_string(&Backend::Auto), r#""auto""#);
-        assert_eq!(json::to_string(&Backend::Symbolic), r#""symbolic""#);
-        let back: Backend = json::from_str(r#""explicit""#).unwrap();
-        assert_eq!(back, Backend::Explicit);
-        assert!(json::from_str::<Backend>(r#""smv""#).is_err());
-    }
 
     #[test]
     fn auto_resolves_small_claims_to_the_explicit_engine() {

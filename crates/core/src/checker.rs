@@ -22,7 +22,6 @@
 //! evolving project, convert it with [`Checker::into_workspace`] and keep
 //! the workspace alive — unchanged classes are then never re-verified.
 
-use crate::backend::Backend;
 use crate::lint::LintConfig;
 use crate::pipeline::Checked;
 use crate::project::ProjectFile;
@@ -71,7 +70,6 @@ pub struct Checker {
     lints: LintConfig,
     jobs: usize,
     recover: bool,
-    backend: Backend,
 }
 
 impl Checker {
@@ -101,16 +99,6 @@ impl Checker {
     /// the same constructs with a parse error.
     pub fn recover(mut self, recover: bool) -> Self {
         self.recover = recover;
-        self
-    }
-
-    /// Selects the engine that decides temporal claims: the explicit
-    /// joint search, the symbolic BDD fixpoint, or the NuSMV-encoding
-    /// evaluator (see [`crate::backend`]). The default [`Backend::Auto`]
-    /// resolves per claim by monitor-size estimate; all backends decide
-    /// identical verdicts.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -160,7 +148,6 @@ impl Checker {
     pub fn into_workspace(self) -> Workspace {
         let mut workspace = Workspace::with_config(self.lints, self.jobs);
         workspace.set_recover(self.recover);
-        workspace.set_backend(self.backend);
         workspace
     }
 }

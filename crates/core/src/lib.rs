@@ -92,7 +92,7 @@ pub mod workspace;
 
 pub use annotations::{Claim, ClassAnnotations, ClassKind, OpKind};
 pub use api::{CheckSummary, Method, Reply, ReplyBody, Request, WireDiagnostic, PROTOCOL_VERSION};
-pub use backend::{Backend, ParseBackendError, AUTO_SYMBOLIC_THRESHOLD};
+pub use backend::{Backend, AUTO_SYMBOLIC_THRESHOLD};
 pub use checker::{CheckError, Checker, INPUT_NAME};
 pub use dataflow::typestate::{analyze_class, TypestateFinding, TypestateReport};
 pub use dataflow::{solve, Analysis, Direction, Solution};

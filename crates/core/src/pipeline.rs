@@ -122,14 +122,12 @@ pub fn proven_fields(
 ///
 /// `proven` lists subsystem fields whose usage inclusion is already
 /// established (see [`proven_fields`]); their checks are skipped and
-/// counted in [`SystemVerdict::fast_path_skips`]. `backend` selects the
-/// claim-checking engine (see [`crate::backend`]); every backend decides
-/// the same verdicts.
+/// counted in [`SystemVerdict::fast_path_skips`]. Each claim goes to the
+/// engine [`Backend::Auto`] picks for it (see [`crate::backend`]).
 pub fn verify_system(
     system: &System,
     systems: &SystemSet,
     proven: &BTreeSet<String>,
-    backend: Backend,
 ) -> SystemVerdict {
     let mut verdict = SystemVerdict::default();
     if let Some(info) = system.composite() {
@@ -163,7 +161,7 @@ pub fn verify_system(
     for v in check_claims(
         system,
         integration.as_deref(),
-        backend,
+        Backend::Auto,
         &mut verdict.diagnostics,
     ) {
         verdict.diagnostics.push(
@@ -334,7 +332,7 @@ class GoodSector:
         let good = systems.get("GoodSector").unwrap();
         let proven = proven_fields(module.class("GoodSector"), good, &systems);
         assert_eq!(proven.iter().collect::<Vec<_>>(), ["a"]);
-        let verdict = verify_system(good, &systems, &proven, crate::backend::Backend::Auto);
+        let verdict = verify_system(good, &systems, &proven);
         assert_eq!(verdict.fast_path_skips, 1);
         assert!(verdict.usage_violations.is_empty());
         // The full pipeline agrees with the skipped check.

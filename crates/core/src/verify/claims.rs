@@ -47,7 +47,9 @@ impl ClaimViolation {
 /// it is the specification automaton over unqualified operation events.
 ///
 /// `backend` picks the engine that decides each claim (see
-/// [`crate::backend`]); every backend returns the same verdicts.
+/// [`crate::backend`]): the product passes [`Backend::Auto`], and tests
+/// and benches pass a fixed engine to compare the two. Both engines
+/// return the same verdicts.
 ///
 /// Claims that fail to parse are reported in `diagnostics` and skipped.
 pub fn check_claims(
@@ -316,8 +318,8 @@ class BadSector:
         );
         for backend in [Backend::Auto, Backend::Explicit, Backend::Symbolic] {
             let (violations, diags) = check_with(&src, "BadSector", backend);
-            assert!(diags.is_empty(), "{backend}: {diags:?}");
-            assert_eq!(violations.len(), 1, "{backend}");
+            assert!(diags.is_empty(), "{backend:?}: {diags:?}");
+            assert_eq!(violations.len(), 1, "{backend:?}");
             // Every engine finds a genuine shortest violation, here the
             // same canonical witness.
             let v = &violations[0];
@@ -328,8 +330,8 @@ class BadSector:
                 .split(", ")
                 .map(|n| ab.intern(n))
                 .collect();
-            assert!(!eval(&f, &trace), "{backend}: {}", v.counterexample_text);
-            assert_eq!(v.counterexample_text, "a.test, a.open", "{backend}");
+            assert!(!eval(&f, &trace), "{backend:?}: {}", v.counterexample_text);
+            assert_eq!(v.counterexample_text, "a.test, a.open", "{backend:?}");
         }
     }
 

@@ -18,10 +18,9 @@
 //!   and its file) gates extraction and spec validation, which depend on
 //!   nothing but the class's own text;
 //! * a *dependency* fingerprint (the class fingerprint combined with the
-//!   fingerprints of every subsystem class it instantiates, and with the
-//!   claim [`Backend`] unless it is `Auto`) gates resolution, lints, and
-//!   verification, which additionally read the subsystems'
-//!   specifications — and nothing else.
+//!   fingerprints of every subsystem class it instantiates) gates
+//!   resolution, lints, and verification, which additionally read the
+//!   subsystems' specifications — and nothing else.
 //!
 //! Editing one class therefore re-runs extraction for that class only, and
 //! re-runs verification for that class plus the composites that use it.
@@ -70,7 +69,6 @@
 //! # Ok::<(), shelley_core::CheckError>(())
 //! ```
 
-use crate::backend::Backend;
 use crate::checker::CheckError;
 use crate::diagnostics::{codes, Diagnostic, Diagnostics};
 use crate::lint::{run_lints, LintConfig, LintLevel};
@@ -318,9 +316,10 @@ pub struct Workspace {
     /// [`parse_module_recover`] (total), degrading out-of-subset
     /// constructs to spanned `skip` nodes reported as `W014`.
     recover: bool,
-    /// The engine that decides temporal claims (see [`crate::backend`]).
-    backend: Backend,
     files: Vec<FileState>,
+    /// Each file's index in `files`, so lookups by name (every `set_file`,
+    /// and [`Self::source`] once per diagnostic in the daemon) do not scan.
+    positions: HashMap<String, usize>,
     caches: ClassCaches,
     /// Verify-stage products restored from disk
     /// ([`Self::load_disk_cache`]), consulted when the in-memory
@@ -351,8 +350,8 @@ impl Workspace {
             config,
             jobs,
             recover: false,
-            backend: Backend::Auto,
             files: Vec::new(),
+            positions: HashMap::new(),
             caches: ClassCaches::default(),
             disk_cache: HashMap::new(),
             totals: WorkspaceStats::default(),
@@ -381,21 +380,6 @@ impl Workspace {
         self.recover
     }
 
-    /// Selects the claim-checking backend for subsequent rounds (see
-    /// [`crate::backend`]). The backends decide identical verdicts, but
-    /// two engines may pick different shortest counterexamples, so the
-    /// backend is part of every verify-cache key (in memory and on disk):
-    /// after a switch, a round reports exactly what a fresh workspace on
-    /// the new backend would.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The claim-checking backend in effect.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// Adds a file, or replaces its source if the name is already
     /// registered (keeping its position in project order). Re-registering
     /// identical source is free: the parse cache is kept.
@@ -403,7 +387,7 @@ impl Workspace {
         let name = name.into();
         let source = source.into();
         let fingerprint = fnv1a(&[name.as_bytes(), source.as_bytes()]);
-        match self.files.iter_mut().find(|f| f.name == name) {
+        match self.file_mut(&name) {
             Some(state) => {
                 if state.fingerprint != fingerprint {
                     state.fingerprint = fingerprint;
@@ -412,7 +396,7 @@ impl Workspace {
                     state.degraded = Diagnostics::new();
                 }
             }
-            None => self.files.push(FileState {
+            None => self.push_file(FileState {
                 name,
                 fingerprint,
                 source: Some(source),
@@ -430,7 +414,7 @@ impl Workspace {
         let name = name.into();
         let printed = print_module(&module);
         let fingerprint = fnv1a(&[name.as_bytes(), printed.as_bytes()]);
-        if let Some(state) = self.files.iter_mut().find(|f| f.name == name) {
+        if let Some(state) = self.file_mut(&name) {
             if state.fingerprint == fingerprint {
                 return;
             }
@@ -443,22 +427,46 @@ impl Workspace {
             parsed: Some(Ok(units)),
             degraded: degraded_diags(&module),
         };
-        match self.files.iter_mut().find(|f| f.name == name) {
+        match self.file_mut(&name) {
             Some(existing) => *existing = state,
-            None => self.files.push(state),
+            None => self.push_file(state),
         }
     }
 
     /// Removes a file from the project. Returns whether it was present.
     pub fn remove_file(&mut self, name: &str) -> bool {
-        let before = self.files.len();
-        self.files.retain(|f| f.name != name);
-        before != self.files.len()
+        let Some(removed) = self.positions.remove(name) else {
+            return false;
+        };
+        self.files.remove(removed);
+        for position in self.positions.values_mut() {
+            if *position > removed {
+                *position -= 1;
+            }
+        }
+        true
     }
 
     /// The registered file names, in project order.
     pub fn file_names(&self) -> impl Iterator<Item = &str> {
         self.files.iter().map(|f| f.name.as_str())
+    }
+
+    /// The source text registered under `name`; `None` for unknown names
+    /// and for modules registered pre-parsed.
+    pub fn source(&self, name: &str) -> Option<&str> {
+        let &i = self.positions.get(name)?;
+        self.files[i].source.as_deref()
+    }
+
+    fn file_mut(&mut self, name: &str) -> Option<&mut FileState> {
+        let &i = self.positions.get(name)?;
+        Some(&mut self.files[i])
+    }
+
+    fn push_file(&mut self, state: FileState) {
+        self.positions.insert(state.name.clone(), self.files.len());
+        self.files.push(state);
     }
 
     /// Counters and timings accumulated since the workspace was created.
@@ -593,14 +601,7 @@ impl Workspace {
         round.extract_time = t.elapsed();
 
         // Phase 4: dependency fingerprints, the verify-cache key's second
-        // half: the class's dependencies plus the claim backend, which can
-        // change a violation witness.
-        let backend_tag = match self.backend {
-            // `Auto` adds nothing, so caches saved by default runs keep
-            // their keys.
-            Backend::Auto => None,
-            fixed => Some(fixed.to_string()),
-        };
+        // half.
         let dep_fingerprints: Vec<u64> = extract_entries
             .iter()
             .zip(&units)
@@ -615,9 +616,6 @@ impl Workspace {
                             .map_or(u64::MAX, |&i| all[i].1.fingerprint);
                         hash.part(dep.as_bytes());
                         hash.part(&dep_fp.to_le_bytes());
-                    }
-                    if let Some(tag) = &backend_tag {
-                        hash.part(tag.as_bytes());
                     }
                     hash.finish()
                 }
@@ -651,7 +649,6 @@ impl Workspace {
             .count() as u64
             - round.verified;
         let config = &self.config;
-        let backend = self.backend;
         let disk_cache = &self.disk_cache;
         let spec_index = &self.caches.specs;
         let fresh = par_map(self.effective_jobs(), &missing, |&i| {
@@ -666,9 +663,7 @@ impl Workspace {
                     true,
                 ),
                 None => (
-                    Arc::new(run_verify(
-                        extraction, units[i], spec_index, config, backend,
-                    )),
+                    Arc::new(run_verify(extraction, units[i], spec_index, config)),
                     false,
                 ),
             }
@@ -907,7 +902,6 @@ fn run_verify(
     unit: &ClassUnit,
     spec_index: &BTreeMap<String, ClassSpec>,
     config: &LintConfig,
-    backend: Backend,
 ) -> VerifyEntry {
     let mut resolve_diags = Diagnostics::new();
     let system = Arc::new(resolve_class(extraction, spec_index, &mut resolve_diags));
@@ -943,7 +937,7 @@ fn run_verify(
     run_lints(&unit.solo, &verify_scope, config, &mut lint_diags);
 
     let proven = proven_fields(unit.solo.class(&system.name), &system, &verify_scope);
-    let verdict = verify_system(&system, &verify_scope, &proven, backend);
+    let verdict = verify_system(&system, &verify_scope, &proven);
 
     VerifyEntry {
         system,

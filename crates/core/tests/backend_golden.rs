@@ -88,7 +88,7 @@ fn declared_claims_agree_across_backends_on_every_example() {
                         .collect();
                 assert_eq!(
                     violated, reference,
-                    "{example}/{}: {backend} disagrees with the explicit engine",
+                    "{example}/{}: {backend:?} disagrees with the explicit engine",
                     system.name
                 );
             }

@@ -6,7 +6,10 @@
 use proptest::prelude::*;
 use shelley_core::annotations::OpKind;
 use shelley_core::spec::{ClassSpec, ExitSpec, OperationSpec};
-use shelley_core::{Backend, Checked, Checker, Integration, LintConfig, ProjectFile, INPUT_NAME};
+use shelley_core::{
+    check_claims, Backend, Checked, Checker, Diagnostics, Integration, LintConfig, ProjectFile,
+    INPUT_NAME,
+};
 use shelley_oracle::pipeline::check_module_direct;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -388,6 +391,14 @@ fn removing_a_file_drops_its_classes() {
     let checked = ws.check().unwrap();
     assert_eq!(checked.systems.len(), 1);
     assert!(checked.systems.get("Valve").is_some());
+    assert_eq!(ws.source("led.py"), None);
+
+    // Removing an earlier file leaves the later ones findable by name.
+    ws.set_file("led.py", LED_PY);
+    ws.set_file("valve.py", VALVE_PY);
+    assert!(ws.remove_file("valve.py"));
+    assert_eq!(ws.source("led.py"), Some(LED_PY));
+    assert_eq!(ws.file_names().collect::<Vec<_>>(), ["led.py"]);
 }
 
 #[test]
@@ -513,13 +524,11 @@ fn rounds_share_per_class_artifacts_and_an_edit_renews_only_its_dependents() {
 
 /// The `(class fingerprint, dependency fingerprint)` keys that
 /// `save_disk_cache` writes for a two-file project, sorted.
-fn saved_keys(backend: Backend) -> Vec<(u64, u64)> {
-    let dir =
-        std::env::temp_dir().join(format!("shelley-ws-keys-{}-{backend}", std::process::id()));
+fn saved_keys() -> Vec<(u64, u64)> {
+    let dir = std::env::temp_dir().join(format!("shelley-ws-keys-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let cache = dir.join("verify.ndjson");
     let mut ws = Checker::new().jobs(1).into_workspace();
-    ws.set_backend(backend);
     ws.set_file("valve.py", VALVE_PY);
     ws.set_file("sector_a.py", SECTOR_A_PY);
     ws.check().unwrap();
@@ -550,24 +559,14 @@ fn saved_keys(backend: Backend) -> Vec<(u64, u64)> {
 #[test]
 fn verify_cache_keys_are_pinned() {
     assert_eq!(
-        saved_keys(Backend::Auto),
+        saved_keys(),
         [
             (3234043265091796686, 7399491418975089699),
             (11921935239403436303, 13922123776871237117),
         ]
     );
-    assert_eq!(
-        saved_keys(Backend::Symbolic),
-        [
-            (3234043265091796686, 15212642299759111151),
-            (11921935239403436303, 16419130007466594273),
-        ]
-    );
 }
 
-/// A random, structurally sane spec: `n` operations, each with one exit
-/// whose next-set references defined operations; op 0 is initial, the
-/// last op is final.
 /// A class whose claim the explicit and symbolic engines refute with
 /// different shortest counterexamples: after `p`, both `q` and `r` end a
 /// trace with the strong next of `X (p W r)` unmet.
@@ -588,60 +587,35 @@ class Dev:
         return ["p"]
 "#;
 
-fn witness(checked: &Checked) -> &str {
-    let (class, violation) = &checked.report.claim_violations[0];
-    assert_eq!(class, "Dev");
-    &violation.counterexample_text
-}
-
-fn fresh_round(backend: Backend, cache: Option<&std::path::Path>) -> (Checked, u64) {
-    let mut ws = Checker::new().jobs(1).into_workspace();
-    ws.set_backend(backend);
-    if let Some(cache) = cache {
-        assert!(ws.load_disk_cache(cache).rejected.is_none());
-    }
-    ws.set_file("dev.py", TWO_WITNESS_PY);
-    let checked = ws.check().unwrap();
-    (checked, ws.last_round().verify_disk_hits)
-}
-
+/// The engines may pick different witnesses, which is why the product
+/// never lets the user choose one: every claim goes to the engine
+/// `Backend::Auto` picks from the claim, here the explicit one.
 #[test]
-fn a_backend_switch_never_returns_the_previous_engines_witness() {
-    let (explicit, _) = fresh_round(Backend::Explicit, None);
-    let (symbolic, _) = fresh_round(Backend::Symbolic, None);
-    assert_eq!(witness(&explicit), "p, q");
-    assert_eq!(witness(&symbolic), "p, r");
+fn the_engines_pick_different_witnesses_and_the_workspace_reports_autos() {
+    let checked = Checker::new().jobs(1).check_source(TWO_WITNESS_PY).unwrap();
+    let dev = checked.systems.get("Dev").unwrap();
+    let witness = |backend| {
+        let mut diagnostics = Diagnostics::new();
+        let violations = check_claims(dev, None, backend, &mut diagnostics);
+        assert!(diagnostics.is_empty(), "{backend:?}: {diagnostics:?}");
+        assert_eq!(violations.len(), 1, "{backend:?}");
+        violations[0].counterexample_text.clone()
+    };
+    assert_eq!(witness(Backend::Explicit), "p, q");
+    assert_eq!(witness(Backend::Symbolic), "p, r");
+    assert_eq!(witness(Backend::Auto), "p, q");
 
-    // One long-lived workspace: the default round caches the explicit
-    // engine's witness; after the switch the round re-verifies and equals
-    // a fresh symbolic workspace byte for byte.
     let mut ws = Checker::new().jobs(1).into_workspace();
     ws.set_file("dev.py", TWO_WITNESS_PY);
-    let auto = ws.check().unwrap();
-    assert_eq!(fingerprint_report(&auto), fingerprint_report(&explicit));
-    ws.set_backend(Backend::Symbolic);
-    let switched = ws.check().unwrap();
-    assert_eq!(ws.last_round().verified, 1, "the switch re-verifies");
-    assert_eq!(fingerprint_report(&switched), fingerprint_report(&symbolic));
-    let again = ws.check().unwrap();
-    assert_eq!(ws.last_round().verify_cache_hits, 1, "same backend hits");
-    assert_eq!(fingerprint_report(&again), fingerprint_report(&symbolic));
-
-    // Disk records carry the same key: a symbolic cache answers only a
-    // symbolic workspace.
-    let dir = std::env::temp_dir().join(format!("shelley-ws-backend-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("verify.ndjson");
-    assert_eq!(ws.save_disk_cache(&cache).unwrap(), 1);
-    let (warm_symbolic, hits) = fresh_round(Backend::Symbolic, Some(&cache));
-    assert_eq!(hits, 1);
-    assert_eq!(witness(&warm_symbolic), "p, r");
-    let (warm_auto, hits) = fresh_round(Backend::Auto, Some(&cache));
-    assert_eq!(hits, 0);
-    assert_eq!(witness(&warm_auto), "p, q");
-    let _ = std::fs::remove_dir_all(&dir);
+    let round = ws.check().unwrap();
+    let (class, violation) = &round.report.claim_violations[0];
+    assert_eq!(class, "Dev");
+    assert_eq!(violation.counterexample_text, "p, q");
 }
 
+/// A random, structurally sane spec: `n` operations, each with one exit
+/// whose next-set references defined operations; op 0 is initial, the
+/// last op is final.
 fn arb_spec(class: &'static str) -> impl Strategy<Value = ClassSpec> {
     (2usize..6)
         .prop_flat_map(|n| {

@@ -23,12 +23,11 @@ pub enum Outcome {
     Shutdown,
 }
 
-/// One verification engine: the shared workspace, the text of every open
-/// file (kept for resolving diagnostic positions), and the optional
-/// on-disk cache location.
+/// One verification engine: the shared workspace (which also holds the
+/// text of every open file, for resolving diagnostic positions) and the
+/// optional on-disk cache location.
 pub struct Engine {
     workspace: Workspace,
-    files: BTreeMap<String, String>,
     cache_path: Option<PathBuf>,
 }
 
@@ -37,7 +36,6 @@ impl Engine {
     pub fn new(checker: Checker) -> Self {
         Engine {
             workspace: checker.into_workspace(),
-            files: BTreeMap::new(),
             cache_path: None,
         }
     }
@@ -84,18 +82,15 @@ impl Engine {
                 }
             }
             Method::Open { path, text } | Method::Change { path, text } => {
-                self.workspace.set_file(path.clone(), text.clone());
-                self.files.insert(path, text);
+                self.workspace.set_file(path, text);
                 reply(ReplyBody::Ok);
             }
             Method::Close { path } => {
                 self.workspace.remove_file(&path);
-                self.files.remove(&path);
                 reply(ReplyBody::Ok);
             }
-            Method::Configure { recover, backend } => {
+            Method::Configure { recover } => {
                 self.workspace.set_recover(recover);
-                self.workspace.set_backend(backend);
                 reply(ReplyBody::Ok);
             }
             Method::Check => self.run_check(id, emit),
@@ -131,11 +126,11 @@ impl Engine {
                 let mut order: Vec<Option<String>> = Vec::new();
                 let mut groups: BTreeMap<Option<String>, Vec<WireDiagnostic>> = BTreeMap::new();
                 for d in checked.report.diagnostics.iter() {
-                    let source = match d.file.as_deref().map(|n| (n, self.files.get(n))) {
+                    let source = match d.file.as_deref().map(|n| (n, self.workspace.source(n))) {
                         Some((name, Some(text))) => Some(
                             &*sources
                                 .entry(name)
-                                .or_insert_with(|| SourceFile::new(name, text.clone())),
+                                .or_insert_with(|| SourceFile::new(name, text)),
                         ),
                         _ => None,
                     };
@@ -163,8 +158,7 @@ impl Engine {
                 });
             }
             Err(e) => {
-                let source = self.files.get(&e.file).map(String::as_str);
-                let failure = ParseFailure::new(&e, source);
+                let failure = ParseFailure::new(&e, self.workspace.source(&e.file));
                 let summary =
                     CheckSummary::from_parse_error(failure, self.workspace.last_round().clone());
                 emit(Reply {

@@ -316,10 +316,7 @@ fn configure_switches_recovery_mode_mid_session() {
     engine.handle(
         Request {
             id: 3,
-            method: Method::Configure {
-                recover: true,
-                backend: shelley_core::Backend::Auto,
-            },
+            method: Method::Configure { recover: true },
         },
         &mut |r| replies.push(r),
     );
@@ -357,11 +354,11 @@ fn configure_switches_recovery_mode_mid_session() {
 }
 
 #[test]
-fn configuring_the_retired_smv_backend_is_an_error_and_the_session_survives() {
+fn v4_clients_and_malformed_configures_get_errors_and_the_session_survives() {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
 
-    let dir = temp_dir("retired-smv");
+    let dir = temp_dir("v4-configure");
     let socket = dir.join("daemon.sock");
     let engine = Engine::new(Checker::new().jobs(1));
     let server = {
@@ -372,22 +369,29 @@ fn configuring_the_retired_smv_backend_is_an_error_and_the_session_survives() {
         std::thread::yield_now();
     }
 
-    // A raw frame: no typed client can even express the removed value.
+    // Raw frames: the typed client can express neither of them.
     let stream = UnixStream::connect(&socket).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    writer
-        .write_all(
-            b"{\"id\":1,\"method\":{\"configure\":{\"recover\":false,\"backend\":\"smv\"}}}\n",
-        )
-        .unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let reply: Reply = serde::json::from_str(line.trim_end()).unwrap();
-    match reply.body {
-        ReplyBody::Error { message } => assert!(message.contains("smv"), "{message}"),
-        other => panic!("expected an error reply, got {other:?}"),
-    }
+    let mut error_reply = |frame: &[u8]| -> String {
+        writer.write_all(frame).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let reply: Reply = serde::json::from_str(line.trim_end()).unwrap();
+        match reply.body {
+            ReplyBody::Error { message } => message,
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    };
+    // A v4 client, which could still send a `backend`, is told at the
+    // handshake instead of having the field silently ignored.
+    let message = error_reply(b"{\"id\":1,\"method\":{\"hello\":{\"version\":4}}}\n");
+    assert!(
+        message.contains("protocol version mismatch: client speaks 4, server speaks 5"),
+        "{message}"
+    );
+    let message = error_reply(b"{\"id\":2,\"method\":{\"configure\":{\"recover\":\"yes\"}}}\n");
+    assert!(message.contains("malformed request"), "{message}");
 
     // The same connection still answers a check correctly.
     let mut client = Client::new(reader, writer);

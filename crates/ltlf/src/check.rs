@@ -16,8 +16,7 @@
 
 use crate::automaton::MonitorView;
 use crate::syntax::Formula;
-use shelley_regular::lang::{self, Product};
-use shelley_regular::{ops, Dfa, Nfa, Symbol, Word};
+use shelley_regular::{ops, Nfa, Symbol, Word};
 use std::collections::BTreeSet;
 
 /// The result of checking one claim against a model.
@@ -50,15 +49,6 @@ impl ClaimOutcome {
 pub fn check_claim(model: &Nfa, claim: &Formula, markers: &BTreeSet<Symbol>) -> ClaimOutcome {
     let bad = MonitorView::new(&claim.negate(), model.alphabet().clone());
     match ops::shortest_joint_word(model, &bad, markers) {
-        None => ClaimOutcome::Holds,
-        Some(counterexample) => ClaimOutcome::Violated { counterexample },
-    }
-}
-
-/// Checks a claim against a DFA model with no markers.
-pub fn check_claim_dfa(model: &Dfa, claim: &Formula) -> ClaimOutcome {
-    let bad = MonitorView::new(&claim.negate(), model.alphabet().clone());
-    match lang::shortest_accepted(&Product::intersection(model, &bad)) {
         None => ClaimOutcome::Holds,
         Some(counterexample) => ClaimOutcome::Violated { counterexample },
     }
@@ -149,26 +139,5 @@ mod tests {
                 Some(counterexample) => ClaimOutcome::Violated { counterexample },
             };
         assert_eq!(check_claim(&model, &claim, &BTreeSet::new()), eager);
-
-        let dfa_model = Dfa::from_nfa(&model);
-        let eager_dfa = match dfa_model.intersect(&eager_bad).shortest_accepted() {
-            None => ClaimOutcome::Holds,
-            Some(counterexample) => ClaimOutcome::Violated { counterexample },
-        };
-        assert_eq!(check_claim_dfa(&dfa_model, &claim), eager_dfa);
-    }
-
-    #[test]
-    fn dfa_variant_agrees() {
-        let mut ab = Alphabet::new();
-        let claim = parse_formula("F b", &mut ab).unwrap();
-        let model_re = parse_regex("a ; a", &mut ab).unwrap();
-        let ab = Arc::new(ab);
-        let nfa = Nfa::from_regex(&model_re, ab);
-        let dfa = Dfa::from_nfa(&nfa);
-        let r1 = check_claim(&nfa, &claim, &BTreeSet::new());
-        let r2 = check_claim_dfa(&dfa, &claim);
-        assert_eq!(r1.holds(), r2.holds());
-        assert!(!r1.holds());
     }
 }

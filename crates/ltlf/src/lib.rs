@@ -49,7 +49,7 @@ mod simplify;
 mod syntax;
 
 pub use automaton::MonitorView;
-pub use check::{check_claim, check_claim_dfa, ClaimOutcome};
+pub use check::{check_claim, ClaimOutcome};
 pub use parser::{parse_formula, ParseFormulaError};
 pub use semantics::{accepts_empty, eval, eval_direct, progress};
 pub use simplify::simplify;

@@ -42,6 +42,26 @@ fn arb_word() -> impl Strategy<Value = Vec<Symbol>> {
     proptest::collection::vec((0..NSYMS).prop_map(Symbol::from_index), 0..7)
 }
 
+/// The DFA as an ε-free NFA with the same state numbering and edge order,
+/// so [`shelley_ltlf::check_claim`] can run on it.
+fn dfa_as_nfa(dfa: &shelley_regular::Dfa) -> shelley_regular::Nfa {
+    use shelley_regular::{Label, Nfa};
+    let mut b = Nfa::builder(dfa.alphabet().clone());
+    for _ in 0..dfa.num_states() {
+        b.add_state();
+    }
+    for q in 0..dfa.num_states() {
+        for s in (0..dfa.alphabet().len()).map(Symbol::from_index) {
+            b.add_edge(q, Label::Sym(s), dfa.step(q, s));
+        }
+        if dfa.is_accepting(q) {
+            b.mark_accepting(q);
+        }
+    }
+    b.set_start(dfa.start());
+    b.build()
+}
+
 proptest! {
     /// Progression-based and direct evaluation agree.
     #[test]
@@ -173,7 +193,7 @@ proptest! {
         w1 in arb_word(),
         w2 in arb_word()
     ) {
-        use shelley_ltlf::{check_claim, check_claim_dfa, ClaimOutcome};
+        use shelley_ltlf::{check_claim, ClaimOutcome};
         use shelley_regular::{ops, Dfa, Nfa, Regex};
         use std::collections::BTreeSet;
         let ab = alphabet();
@@ -194,7 +214,7 @@ proptest! {
             None => ClaimOutcome::Holds,
             Some(counterexample) => ClaimOutcome::Violated { counterexample },
         };
-        prop_assert_eq!(check_claim_dfa(&dfa_model, &f), eager_dfa);
+        prop_assert_eq!(check_claim(&dfa_as_nfa(&dfa_model), &f, &markers), eager_dfa);
     }
 
     /// The bitset engine underneath the ltlf pipeline is invisible: claim
@@ -208,10 +228,11 @@ proptest! {
         w1 in arb_word(),
         w2 in arb_word()
     ) {
-        use shelley_ltlf::check_claim_dfa;
+        use shelley_ltlf::check_claim;
         use shelley_oracle::regular::NfaViewRef;
         use shelley_regular::lang;
         use shelley_regular::{Dfa, Nfa, Regex};
+        use std::collections::BTreeSet;
         let ab = alphabet();
         let model_re = Regex::union(Regex::word(&w1), Regex::word(&w2));
         let model = Nfa::from_regex(&model_re, ab);
@@ -219,9 +240,10 @@ proptest! {
         // identical numbering makes downstream products step identically.
         let bitset_model = Dfa::from_nfa(&model);
         let reference_model = lang::materialize(&NfaViewRef::new(&model));
+        let markers = BTreeSet::new();
         prop_assert_eq!(
-            check_claim_dfa(&bitset_model, &f),
-            check_claim_dfa(&reference_model, &f)
+            check_claim(&dfa_as_nfa(&bitset_model), &f, &markers),
+            check_claim(&dfa_as_nfa(&reference_model), &f, &markers)
         );
     }
 

@@ -8,7 +8,7 @@
 //! trait describing a complete deterministic transition system by
 //! `start`/`step`/`is_accepting` over a hashable state type, combinators
 //! that compose views without materializing them ([`Product`],
-//! [`Complement`], [`EraseMarkers`]), and generic algorithms
+//! [`Complement`]), and generic algorithms
 //! ([`shortest_accepted`], [`is_empty`], [`materialize`]) that explore
 //! **only the reachable states**, memoizing them by hash.
 //!
@@ -329,68 +329,11 @@ impl<L: Lang> Lang for Complement<L> {
     }
 }
 
-/// A view that is blind to a set of marker symbols.
-///
-/// Stepping on a marker stays in place, so the wrapped language observes
-/// only the marker-erased projection of each word. This is how a claim
-/// monitor tracks an integration automaton whose words interleave operation
-/// markers with subsystem events: the markers advance the model, not the
-/// monitor.
-#[derive(Debug, Clone)]
-pub struct EraseMarkers<L> {
-    inner: L,
-    markers: BTreeSet<Symbol>,
-}
-
-impl<L: Lang> EraseMarkers<L> {
-    /// Wraps `inner`; symbols in `markers` become invisible self-loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any marker is not a symbol of `inner`'s alphabet.
-    pub fn new(inner: L, markers: BTreeSet<Symbol>) -> Self {
-        assert_markers_in_alphabet(&markers, inner.alphabet());
-        EraseMarkers { inner, markers }
-    }
-}
-
-impl<L: Lang> Lang for EraseMarkers<L> {
-    type State = L::State;
-
-    fn alphabet(&self) -> &Arc<Alphabet> {
-        self.inner.alphabet()
-    }
-
-    fn start(&self) -> Self::State {
-        self.inner.start()
-    }
-
-    fn step(&self, state: &Self::State, symbol: Symbol) -> Self::State {
-        if self.markers.contains(&symbol) {
-            state.clone()
-        } else {
-            self.inner.step(state, symbol)
-        }
-    }
-
-    fn step_into(&self, state: &Self::State, symbol: Symbol, out: &mut Self::State) {
-        if self.markers.contains(&symbol) {
-            out.clone_from(state);
-        } else {
-            self.inner.step_into(state, symbol, out);
-        }
-    }
-
-    fn is_accepting(&self, state: &Self::State) -> bool {
-        self.inner.is_accepting(state)
-    }
-}
-
 /// Panics unless every symbol in `markers` belongs to `alphabet`.
 ///
-/// Shared contract between [`EraseMarkers`] and the marker-aware searches in
-/// [`crate::ops`]: out-of-alphabet markers are always a caller bug (a symbol
-/// interned into a *different* alphabet), never a soft condition.
+/// Shared contract of the marker-aware searches in [`crate::ops`] and
+/// [`crate::antichain`]: out-of-alphabet markers are always a caller bug (a
+/// symbol interned into a *different* alphabet), never a soft condition.
 pub(crate) fn assert_markers_in_alphabet(markers: &BTreeSet<Symbol>, alphabet: &Alphabet) {
     for &m in markers {
         assert!(
@@ -580,32 +523,6 @@ mod tests {
             shortest_accepted(&Complement::new(&v2)),
             d2.complement().shortest_accepted()
         );
-    }
-
-    #[test]
-    fn erase_markers_makes_symbols_invisible() {
-        let mut ab = Alphabet::new();
-        let m = ab.intern("m");
-        let a = ab.intern("a");
-        let spec = parse_regex("a", &mut ab).unwrap();
-        let ab = Arc::new(ab);
-        let spec = Nfa::from_regex(&spec, ab);
-        // The blind view accepts m·a·m because it only sees `a`.
-        let view = EraseMarkers::new(NfaView::new(&spec), BTreeSet::from([m]));
-        let mut state = view.start();
-        for s in [m, a, m] {
-            state = view.step(&state, s);
-        }
-        assert!(view.is_accepting(&state));
-        assert!(!view.is_accepting(&view.start()));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the shared alphabet")]
-    fn erase_markers_rejects_foreign_symbols() {
-        let (nfa, _) = compile("a");
-        let foreign = Symbol::from_index(99);
-        let _ = EraseMarkers::new(NfaView::new(&nfa), BTreeSet::from([foreign]));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   macrostates (De Wulf–Doyen–Henzinger–Raskin), the product's one
 //!   inclusion engine.
 //! * [`lang`] — lazy language views: a [`lang::Lang`] trait with on-the-fly
-//!   combinators (product, complement, marker erasure) and generic searches
+//!   combinators (product, complement) and generic searches
 //!   that explore only reachable states, with
 //!   [`lang::materialize`] as the eager escape hatch for export.
 //! * [`ops`] — marker-aware product searches used to produce the paper's

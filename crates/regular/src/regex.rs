@@ -90,11 +90,6 @@ impl Regex {
         }
     }
 
-    /// Concatenates all expressions in order (`ε` for an empty sequence).
-    pub fn concat_all<I: IntoIterator<Item = Regex>>(items: I) -> Self {
-        items.into_iter().fold(Regex::Epsilon, Regex::concat)
-    }
-
     /// Unions all expressions (`∅` for an empty sequence).
     pub fn union_all<I: IntoIterator<Item = Regex>>(items: I) -> Self {
         items.into_iter().fold(Regex::Empty, Regex::union)
@@ -102,7 +97,10 @@ impl Regex {
 
     /// The expression matching exactly the given word.
     pub fn word(word: &[Symbol]) -> Self {
-        Regex::concat_all(word.iter().copied().map(Regex::sym))
+        word.iter()
+            .copied()
+            .map(Regex::sym)
+            .fold(Regex::Epsilon, Regex::concat)
     }
 
     /// Whether the empty word is in the language (`ε ∈ L(r)`).

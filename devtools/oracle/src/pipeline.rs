@@ -3,8 +3,7 @@
 use micropython_parser::ast::Module;
 use shelley_core::pipeline::proven_fields;
 use shelley_core::{
-    build_systems, codes, run_lints, verify_system, Backend, CheckReport, Checked, LintConfig,
-    LintLevel,
+    build_systems, codes, run_lints, verify_system, CheckReport, Checked, LintConfig, LintLevel,
 };
 
 /// Checks one module sequentially, from scratch, with no caching: one
@@ -27,7 +26,7 @@ pub fn check_module_direct(module: &Module, config: &LintConfig) -> Checked {
 
     for system in systems.iter() {
         let proven = proven_fields(module.class(&system.name), system, &systems);
-        let verdict = verify_system(system, &systems, &proven, Backend::Auto);
+        let verdict = verify_system(system, &systems, &proven);
         diagnostics.extend(verdict.diagnostics);
         for v in verdict.usage_violations {
             usage_violations.push((system.name.clone(), v));
