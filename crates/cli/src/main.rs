@@ -29,7 +29,8 @@
 
 use shelley_core::extract::dependency::DependencyGraph;
 use shelley_core::{
-    build_integration, integration_diagram, spec_diagram, Checker, LintConfig, LintLevel,
+    build_integration, integration_diagram, spec_diagram, CheckError, Checker, LintConfig,
+    LintLevel, ProjectFile,
 };
 use shelley_daemon::{Client, Engine};
 use shelley_smv::nfa_to_smv;
@@ -357,13 +358,25 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
     let path = args
         .get(1)
         .ok_or_else(|| CliError::Usage("missing input file".into()))?;
-    let source = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
-    let file = micropython_parser::SourceFile::new(path.clone(), source.clone());
-    let checked = checker.check_source(&source).map_err(|e| {
-        let (line, col) = file.line_col(e.error.span.start);
-        CliError::Verification(format!("{path}:{line}:{col}: {}\n", e.error))
-    })?;
+    // `check` verifies every file as one project; the other commands read
+    // the first file only.
+    let paths = if cmd == "check" {
+        &args[1..]
+    } else {
+        &args[1..2]
+    };
+    let mut files = Vec::new();
+    for name in paths {
+        let text = std::fs::read_to_string(name)
+            .map_err(|e| CliError::Usage(format!("cannot read {name}: {e}")))?;
+        files.push(ProjectFile::new(name.clone(), text));
+    }
+    let checked = match files.as_slice() {
+        [single] => checker.check_source(&single.source),
+        _ => checker.check_files(&files),
+    }
+    .map_err(|e| parse_failure(&files, &e))?;
+    let file = micropython_parser::SourceFile::new(path.clone(), files[0].source.clone());
 
     let class_arg = |i: usize| -> Result<&shelley_core::System, CliError> {
         let name = args
@@ -377,24 +390,9 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
 
     match cmd.as_str() {
         "check" => {
-            // Additional files form a multi-file project.
-            let multi_file = args.len() > 2;
-            let checked = if multi_file {
-                let mut files = vec![shelley_core::ProjectFile::new(path.clone(), source.clone())];
-                for extra in &args[2..] {
-                    let text = std::fs::read_to_string(extra)
-                        .map_err(|e| CliError::Usage(format!("cannot read {extra}: {e}")))?;
-                    files.push(shelley_core::ProjectFile::new(extra.clone(), text));
-                }
-                checker
-                    .check_files(&files)
-                    .map_err(|e| CliError::Verification(format!("{e}\n")))?
-            } else {
-                checked
-            };
             // Machine formats cannot attribute merged-project spans to
             // their files, so positions are only emitted for single files.
-            let position_source = (!multi_file).then_some(&file);
+            let position_source = (files.len() == 1).then_some(&file);
             let out = match format {
                 Format::Text => {
                     let mut out = checked.report.render(position_source);
@@ -536,6 +534,16 @@ fn run(raw_args: &[String]) -> Result<String, CliError> {
         }
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     }
+}
+
+/// A parse error as `file:line:col: message`, the line `connect` prints
+/// for a daemon's parse failure too.
+fn parse_failure(files: &[ProjectFile], e: &CheckError) -> CliError {
+    // A single-file check parses under the synthetic `<input>` name.
+    let failed = files.iter().find(|f| f.name == e.file).unwrap_or(&files[0]);
+    let source = micropython_parser::SourceFile::new(failed.name.clone(), failed.source.clone());
+    let (line, col) = source.line_col(e.error.span.start);
+    CliError::Verification(format!("{}:{line}:{col}: {}\n", failed.name, e.error))
 }
 
 /// Per-file outcome of one corpus run.

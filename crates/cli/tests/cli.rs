@@ -427,6 +427,36 @@ class Blinker:
     assert!(stdout.contains("OK: 2 system(s) verified"));
 }
 
+/// A parse error anywhere in a multi-file check is one
+/// `file:line:col: message` line naming the failing file, the shape a
+/// single-file check and `connect` print.
+#[test]
+fn multi_file_parse_error_in_the_first_file_has_a_position() {
+    let broken = write_temp("mf_broken_first.py", "x = 1\ndef broken(:\n    pass\n");
+    let good = write_temp("mf_good_second.py", GOOD);
+    let (stdout, _, code) = shelleyc(&["check", broken.to_str().unwrap(), good.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stdout}");
+    let (single, _, _) = shelleyc(&["check", broken.to_str().unwrap()]);
+    assert_eq!(stdout, single);
+    let prefix = format!("{}:2:", broken.display());
+    assert!(stdout.starts_with(&prefix), "{stdout}");
+    assert!(stdout.contains("syntax error"), "{stdout}");
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+}
+
+#[test]
+fn multi_file_parse_error_in_the_second_file_has_a_position() {
+    let good = write_temp("mf_good_first.py", GOOD);
+    let broken = write_temp("mf_broken_second.py", "x = 1\ndef broken(:\n    pass\n");
+    let (stdout, _, code) = shelleyc(&["check", good.to_str().unwrap(), broken.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stdout}");
+    let (single, _, _) = shelleyc(&["check", broken.to_str().unwrap()]);
+    assert_eq!(stdout, single);
+    let prefix = format!("{}:2:", broken.display());
+    assert!(stdout.starts_with(&prefix), "{stdout}");
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+}
+
 const IMPLICIT_RETURN: &str = r#"
 @sys
 class V:

@@ -223,7 +223,7 @@ pub fn qualify(prefix: Option<&str>, name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shelley_regular::Dfa;
+    use shelley_oracle::regular::NfaViewRef;
 
     /// The Valve specification of Listing 2.1.
     pub(crate) fn valve_spec() -> ClassSpec {
@@ -363,14 +363,14 @@ mod tests {
     }
 
     #[test]
-    fn materialize_matches_eager_subset_construction() {
+    fn materialize_matches_reference_subset_construction() {
         let (_, auto) = valve_automaton(Some("a"));
         let lazy = auto.materialize();
-        let eager = Dfa::from_nfa(auto.nfa());
-        assert_eq!(lazy.num_states(), eager.num_states());
-        for q in 0..eager.num_states() {
-            assert_eq!(lazy.is_accepting(q), eager.is_accepting(q));
-            assert_eq!(lazy.dense().row(q), eager.dense().row(q), "state {q}");
+        let reference = lang::materialize(&NfaViewRef::new(auto.nfa()));
+        assert_eq!(lazy.num_states(), reference.num_states());
+        for q in 0..reference.num_states() {
+            assert_eq!(lazy.is_accepting(q), reference.is_accepting(q));
+            assert_eq!(lazy.row(q), reference.row(q), "state {q}");
         }
     }
 }

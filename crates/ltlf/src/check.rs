@@ -123,6 +123,32 @@ mod tests {
     }
 
     #[test]
+    fn a_late_epsilon_path_gives_the_empty_witness() {
+        use shelley_regular::Label;
+        // `S -ε-> W`, `S -ε-> U`, `U -a-> X`, `W -ε-> X`, with `X` accepting
+        // and `a` a marker: `X` is first reached over the marker edge, and only
+        // then over the cheaper ε-path.
+        let mut ab = Alphabet::new();
+        let claim = parse_formula("F b", &mut ab).unwrap();
+        let a = ab.intern("a");
+        let mut builder = Nfa::builder(Arc::new(ab));
+        let [s, w, u, x] = [(); 4].map(|()| builder.add_state());
+        builder.set_start(s);
+        builder.add_edge(s, Label::Eps, w);
+        builder.add_edge(s, Label::Eps, u);
+        builder.add_edge(u, Label::Sym(a), x);
+        builder.add_edge(w, Label::Eps, x);
+        builder.mark_accepting(x);
+        let outcome = check_claim(&builder.build(), &claim, &BTreeSet::from([a]));
+        assert_eq!(
+            outcome,
+            ClaimOutcome::Violated {
+                counterexample: vec![]
+            }
+        );
+    }
+
+    #[test]
     fn lazy_check_matches_eager_oracle() {
         // The eager oracle: compile the ¬φ monitor DFA up front, then run
         // the same searches. Counterexamples must be byte-identical.

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use shelley_ltlf::{accepts_empty, eval, eval_direct, progress, Formula};
 use shelley_oracle::ltlf::to_dfa;
+use shelley_oracle::regular as oracle;
 use shelley_regular::{Alphabet, Symbol};
 use std::sync::Arc;
 
@@ -210,7 +211,7 @@ proptest! {
         prop_assert_eq!(check_claim(&model, &f, &markers), eager);
 
         let dfa_model = Dfa::from_nfa(&model);
-        let eager_dfa = match dfa_model.intersect(&eager_bad).shortest_accepted() {
+        let eager_dfa = match oracle::shortest_accepted(&oracle::intersect(&dfa_model, &eager_bad)) {
             None => ClaimOutcome::Holds,
             Some(counterexample) => ClaimOutcome::Violated { counterexample },
         };

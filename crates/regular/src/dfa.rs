@@ -1,15 +1,20 @@
 //! Deterministic finite automata (complete by construction).
 //!
-//! DFAs are obtained from [`Nfa`]s by subset construction and support the
-//! boolean algebra needed for verification and export: complement, product
-//! (intersection/union/difference), and emptiness with shortest witnesses.
+//! A [`Dfa`] is one flat row-major `states × symbols` table of `u32`
+//! targets plus a [`StateSet`] accepting bitset: stepping is one
+//! multiply-add and one cache line, and the hot loops (dead-state
+//! predecessor scans, minimization, the BFS of
+//! [`shortest_word_to`](Dfa::shortest_word_to)) walk whole
+//! [rows](Dfa::row). Determinization is
+//! [`lang::materialize`](crate::lang::materialize) of a lazy view; the
+//! boolean algebra (products, complement, emptiness) lives on the lazy
+//! [`lang`](crate::lang) views.
 
-use crate::compiled::CompiledNfa;
-use crate::dense::{state_u32, DenseDfa};
+use crate::lang::{self, NfaView};
 use crate::nfa::{Nfa, StateId};
 use crate::stateset::StateSet;
 use crate::symbol::{Alphabet, Symbol, Word};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A complete deterministic finite automaton.
@@ -34,74 +39,37 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Dfa {
     alphabet: Arc<Alphabet>,
-    /// Flat `states × symbols` transition table + accepting bitset.
-    dense: DenseDfa,
+    /// Row width: `alphabet.len()`, kept inline for the stepping hot path.
+    nsyms: usize,
+    nstates: usize,
+    start: u32,
+    /// `table[q * symbols + s]` is the successor of `q` on symbol index `s`.
+    table: Box<[u32]>,
+    accepting: StateSet,
+}
+
+/// Narrows a state id to a table entry.
+///
+/// # Panics
+///
+/// Panics if `state` exceeds `u32`.
+pub(crate) fn state_u32(state: StateId) -> u32 {
+    u32::try_from(state).expect("DFA state id exceeds u32")
 }
 
 impl Dfa {
-    /// Determinizes `nfa` by subset construction.
-    ///
-    /// Compiles the NFA's ε-closures and successor tables once, then runs
-    /// the construction on [`StateSet`] bitset subsets (see
-    /// [`Dfa::from_compiled`]). State numbering is BFS discovery order with
-    /// symbols scanned in dense index order — identical to materializing an
-    /// [`NfaView`](crate::lang::NfaView) and to the `BTreeSet`-based
-    /// reference construction the differential property suite pins it
-    /// against.
+    /// Determinizes `nfa` by subset construction:
+    /// [`materialize`](lang::materialize) of its [`NfaView`]. State
+    /// numbering is BFS discovery order with symbols scanned in dense index
+    /// order.
     pub fn from_nfa(nfa: &Nfa) -> Dfa {
-        Dfa::from_compiled(&CompiledNfa::compile(nfa))
-    }
-
-    /// Subset construction over an already-[compiled](CompiledNfa::compile)
-    /// NFA.
-    ///
-    /// The interning index is keyed by [`StateSet`] (hash over raw bitset
-    /// blocks); each step unions precomputed ε-closures into a scratch set,
-    /// so the hot loop allocates only when a genuinely new subset is
-    /// discovered and needs to be retained as a key.
-    pub fn from_compiled(compiled: &CompiledNfa) -> Dfa {
-        let alphabet = compiled.alphabet().clone();
-        let nsyms = alphabet.len();
-
-        let mut index: HashMap<StateSet, StateId> = HashMap::new();
-        let mut table: Vec<u32> = vec![u32::MAX; nsyms];
-        let mut sets: Vec<StateSet> = Vec::new();
-
-        let start_set = compiled.start_set();
-        index.insert(start_set.clone(), 0);
-        let mut accepting = vec![compiled.is_accepting(&start_set)];
-        sets.push(start_set);
-
-        let mut scratch = compiled.empty_set();
-        let mut queue = VecDeque::from([0usize]);
-        while let Some(q) = queue.pop_front() {
-            for sym_idx in 0..nsyms {
-                let sym = Symbol::from_index(sym_idx);
-                // `sets` only grows, so the clone-free borrow dance: step
-                // from the stored subset into the scratch set, then intern.
-                compiled.step_into(&sets[q], sym, &mut scratch);
-                let dst = match index.get(&scratch) {
-                    Some(&d) => d,
-                    None => {
-                        let d = accepting.len();
-                        table.resize(table.len() + nsyms, u32::MAX);
-                        accepting.push(compiled.is_accepting(&scratch));
-                        index.insert(scratch.clone(), d);
-                        sets.push(scratch.clone());
-                        queue.push_back(d);
-                        d
-                    }
-                };
-                table[q * nsyms + sym_idx] = state_u32(dst);
-            }
-        }
-        Dfa::from_parts(alphabet, table, 0, &accepting)
+        lang::materialize(&NfaView::new(nfa))
     }
 
     /// Builds a DFA from a row-major transition table:
     /// `table[q * symbols + s]` is the successor of state `q` on symbol
     /// index `s`, and `accepting[q]` marks state `q` accepting. Every
-    /// constructor funnels through here.
+    /// constructor funnels through here, so lookups are plain arithmetic.
     ///
     /// # Panics
     ///
@@ -113,8 +81,30 @@ impl Dfa {
         start: StateId,
         accepting: &[bool],
     ) -> Dfa {
-        let dense = DenseDfa::new(alphabet.len(), table, start, accepting);
-        Dfa { alphabet, dense }
+        let nsyms = alphabet.len();
+        let nstates = accepting.len();
+        assert_eq!(
+            table.len(),
+            nstates * nsyms,
+            "transition table is not states × symbols"
+        );
+        assert!(start < nstates, "start state out of range");
+        assert!(
+            table.iter().all(|&dst| (dst as usize) < nstates),
+            "transition target out of range"
+        );
+        let mut acc = StateSet::new(nstates);
+        for (q, _) in accepting.iter().enumerate().filter(|(_, &a)| a) {
+            acc.insert(q);
+        }
+        Dfa {
+            alphabet,
+            nsyms,
+            nstates,
+            start: state_u32(start),
+            table: table.into_boxed_slice(),
+            accepting: acc,
+        }
     }
 
     /// The automaton's alphabet.
@@ -124,33 +114,38 @@ impl Dfa {
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.dense.num_states()
+        self.nstates
     }
 
     /// The start state.
     pub fn start(&self) -> StateId {
-        self.dense.start()
+        self.start as StateId
     }
 
-    /// Whether `state` accepts.
+    /// Whether `state` accepts (bitset probe).
+    #[inline]
     pub fn is_accepting(&self, state: StateId) -> bool {
-        self.dense.is_accepting(state)
+        self.accepting.contains(state)
     }
 
-    /// The successor of `state` on `symbol` (one flat-table load).
+    /// The successor of `state` on `symbol`: one flat-table load.
     #[inline]
     pub fn step(&self, state: StateId, symbol: Symbol) -> StateId {
-        self.dense.step(state, symbol)
+        self.table[state * self.nsyms + symbol.index()] as StateId
     }
 
-    /// The flat transition table backing this automaton.
-    pub fn dense(&self) -> &DenseDfa {
-        &self.dense
+    /// The full successor row of `state`, one `u32` per symbol index.
+    ///
+    /// Hot loops (BFS searches, dead-state predecessor scans) iterate this
+    /// slice instead of re-indexing per symbol.
+    #[inline]
+    pub fn row(&self, state: StateId) -> &[u32] {
+        &self.table[state * self.nsyms..(state + 1) * self.nsyms]
     }
 
     /// The accepting states as a [`StateSet`] sized to this automaton.
     pub fn accepting_set(&self) -> StateSet {
-        self.dense.accepting_set().clone()
+        self.accepting.clone()
     }
 
     /// The image of a state *set* under `symbol`: `{ δ(q, symbol) | q ∈ set }`.
@@ -176,109 +171,6 @@ impl Dfa {
         self.is_accepting(self.run(word))
     }
 
-    /// The complement automaton (accepting exactly the rejected words).
-    pub fn complement(&self) -> Dfa {
-        Dfa {
-            alphabet: self.alphabet.clone(),
-            dense: self.dense.complement(),
-        }
-    }
-
-    /// Product automaton accepting the intersection of both languages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alphabets differ.
-    pub fn intersect(&self, other: &Dfa) -> Dfa {
-        self.product(other, |a, b| a && b)
-    }
-
-    /// Product automaton accepting the union of both languages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alphabets differ.
-    pub fn union(&self, other: &Dfa) -> Dfa {
-        self.product(other, |a, b| a || b)
-    }
-
-    /// Product automaton accepting `L(self) \ L(other)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alphabets differ.
-    pub fn difference(&self, other: &Dfa) -> Dfa {
-        self.product(other, |a, b| a && !b)
-    }
-
-    fn product(&self, other: &Dfa, combine: impl Fn(bool, bool) -> bool) -> Dfa {
-        assert_eq!(
-            **self.alphabet(),
-            **other.alphabet(),
-            "product of DFAs over different alphabets"
-        );
-        let nsyms = self.alphabet.len();
-        let accepts =
-            |(qa, qb): (StateId, StateId)| combine(self.is_accepting(qa), other.is_accepting(qb));
-        let start = (self.start(), other.start());
-        let mut index: HashMap<(StateId, StateId), StateId> = HashMap::from([(start, 0)]);
-        // Pairs in discovery order, which is also the BFS queue order.
-        let mut pairs = vec![start];
-        let mut accepting = vec![accepts(start)];
-        let mut table = vec![u32::MAX; nsyms];
-        let mut q = 0;
-        while q < pairs.len() {
-            let (qa, qb) = pairs[q];
-            let (row_a, row_b) = (self.dense.row(qa), other.dense.row(qb));
-            for sym_idx in 0..nsyms {
-                let pair = (row_a[sym_idx] as StateId, row_b[sym_idx] as StateId);
-                let dst = *index.entry(pair).or_insert_with(|| {
-                    pairs.push(pair);
-                    accepting.push(accepts(pair));
-                    table.resize(table.len() + nsyms, u32::MAX);
-                    pairs.len() - 1
-                });
-                table[q * nsyms + sym_idx] = state_u32(dst);
-            }
-            q += 1;
-        }
-        Dfa::from_parts(self.alphabet.clone(), table, 0, &accepting)
-    }
-
-    /// Whether the language is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shortest_accepted().is_none()
-    }
-
-    /// Finds a shortest accepted word, if any.
-    pub fn shortest_accepted(&self) -> Option<Word> {
-        let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; self.num_states()];
-        let mut visited = vec![false; self.num_states()];
-        let mut queue = VecDeque::from([self.start()]);
-        visited[self.start()] = true;
-        while let Some(q) = queue.pop_front() {
-            if self.is_accepting(q) {
-                let mut word = Vec::new();
-                let mut cur = q;
-                while let Some((prev, sym)) = parent[cur] {
-                    word.push(sym);
-                    cur = prev;
-                }
-                word.reverse();
-                return Some(word);
-            }
-            for (sym_idx, &dst) in self.dense.row(q).iter().enumerate() {
-                let dst = dst as StateId;
-                if !visited[dst] {
-                    visited[dst] = true;
-                    parent[dst] = Some((q, Symbol::from_index(sym_idx)));
-                    queue.push_back(dst);
-                }
-            }
-        }
-        None
-    }
-
     /// Finds a shortest word driving the start state to `target`, if any
     /// (breadth-first in symbol order, so the witness is deterministic).
     pub fn shortest_word_to(&self, target: StateId) -> Option<Word> {
@@ -297,7 +189,7 @@ impl Dfa {
                 word.reverse();
                 return Some(word);
             }
-            for (sym_idx, &dst) in self.dense.row(q).iter().enumerate() {
+            for (sym_idx, &dst) in self.row(q).iter().enumerate() {
                 let dst = dst as StateId;
                 if !visited[dst] {
                     visited[dst] = true;
@@ -387,73 +279,47 @@ mod tests {
     }
 
     #[test]
-    fn complement_flips_membership() {
+    fn packs_rows_and_accepting_bits() {
+        // Two states over two symbols: 0 -a-> 1, 0 -b-> 0, 1 -*-> 1.
         let (ab, a, b) = ab2();
-        let r = Regex::star(Regex::sym(a));
-        let dfa = dfa_of(&r, ab);
-        let comp = dfa.complement();
-        assert!(dfa.accepts(&[a, a]));
-        assert!(!comp.accepts(&[a, a]));
-        assert!(!dfa.accepts(&[b]));
-        assert!(comp.accepts(&[b]));
+        let dfa = Dfa::from_parts(ab, vec![1, 0, 1, 1], 0, &[false, true]);
+        assert_eq!(dfa.num_states(), 2);
+        assert_eq!(dfa.start(), 0);
+        assert_eq!(dfa.step(0, a), 1);
+        assert_eq!(dfa.step(0, b), 0);
+        assert_eq!(dfa.row(1), &[1, 1]);
+        assert!(!dfa.is_accepting(0));
+        assert!(dfa.is_accepting(1));
+        assert_eq!(dfa.accepting_set().len(), 1);
     }
 
     #[test]
-    fn intersection_and_union() {
-        let (ab, a, b) = ab2();
-        // L1 = words starting with a; L2 = words ending with b.
-        let sigma_star = Regex::star(Regex::union(Regex::sym(a), Regex::sym(b)));
-        let l1 = dfa_of(
-            &Regex::concat(Regex::sym(a), sigma_star.clone()),
-            ab.clone(),
-        );
-        let l2 = dfa_of(&Regex::concat(sigma_star, Regex::sym(b)), ab.clone());
-        let both = l1.intersect(&l2);
-        assert!(both.accepts(&[a, b]));
-        assert!(both.accepts(&[a, a, b]));
-        assert!(!both.accepts(&[a]));
-        assert!(!both.accepts(&[b, b]));
-        let either = l1.union(&l2);
-        assert!(either.accepts(&[a]));
-        assert!(either.accepts(&[b, b]));
-        assert!(!either.accepts(&[b, a]));
+    fn empty_alphabet_table() {
+        let dfa = Dfa::from_parts(Arc::new(Alphabet::new()), vec![], 0, &[true]);
+        assert_eq!(dfa.num_states(), 1);
+        assert!(dfa.row(0).is_empty());
+        assert!(dfa.accepts(&[]));
     }
 
     #[test]
-    fn emptiness_and_shortest_witness() {
-        let (ab, a, b) = ab2();
-        let r = Regex::union(Regex::word(&[a, b, a]), Regex::word(&[b, b]));
-        let dfa = dfa_of(&r, ab.clone());
-        assert!(!dfa.is_empty());
-        assert_eq!(dfa.shortest_accepted(), Some(vec![b, b]));
-        let nothing = dfa_of(&Regex::empty(), ab);
-        assert!(nothing.is_empty());
+    #[should_panic(expected = "target out of range")]
+    fn rejects_out_of_range_targets() {
+        let mut ab = Alphabet::new();
+        ab.intern("a");
+        let _ = Dfa::from_parts(Arc::new(ab), vec![2, 0], 0, &[false, true]);
     }
 
     #[test]
-    fn difference_witnesses_non_inclusion() {
-        let (ab, a, _) = ab2();
-        // a ⊆ a* but not conversely.
-        let small = dfa_of(&Regex::sym(a), ab.clone());
-        let big = dfa_of(&Regex::star(Regex::sym(a)), ab.clone());
-        assert!(small.difference(&big).is_empty());
-        let counter = big.difference(&small).shortest_accepted().unwrap();
-        assert!(counter.is_empty() || counter.len() >= 2);
-        // (a·a)* + a·(a·a)* ≡ a*.
-        let even = Regex::star(Regex::word(&[a, a]));
-        let odd = Regex::concat(Regex::sym(a), even.clone());
-        let all = dfa_of(&Regex::union(even, odd), ab.clone());
-        assert!(all.difference(&big).is_empty() && big.difference(&all).is_empty());
+    #[should_panic(expected = "states × symbols")]
+    fn rejects_ragged_tables() {
+        let (ab, _, _) = ab2();
+        let _ = Dfa::from_parts(ab, vec![0, 0, 1], 0, &[false, true]);
     }
 
     #[test]
-    #[should_panic(expected = "different alphabets")]
-    fn product_requires_same_alphabet() {
-        let (ab1, a, _) = ab2();
-        let mut other = Alphabet::new();
-        other.intern("x");
-        let d1 = dfa_of(&Regex::sym(a), ab1);
-        let d2 = dfa_of(&Regex::empty(), Arc::new(other));
-        let _ = d1.intersect(&d2);
+    #[should_panic(expected = "start state out of range")]
+    fn rejects_out_of_range_start() {
+        let (ab, _, _) = ab2();
+        let _ = Dfa::from_parts(ab, vec![0, 0], 1, &[true]);
     }
 }

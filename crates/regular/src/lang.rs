@@ -1,26 +1,25 @@
 //! Lazy language views: on-the-fly automata combinators.
 //!
 //! Every check in the verification stack reduces to a reachability search
-//! over some product automaton, yet the eager [`Dfa`] algebra forces the
-//! *whole* automaton into existence first — subset construction and monitor
-//! compilation are exponential in the worst case even when the reachable
-//! product is tiny. This module provides the lazy counterpart: a [`Lang`]
-//! trait describing a complete deterministic transition system by
-//! `start`/`step`/`is_accepting` over a hashable state type, combinators
-//! that compose views without materializing them ([`Product`],
-//! [`Complement`]), and generic algorithms
+//! over some product automaton. Building that automaton eagerly — subset
+//! construction, monitor compilation, pair tables — is exponential in the
+//! worst case even when the reachable product is tiny. This module is the
+//! crate's one language algebra: a [`Lang`] trait describing a complete
+//! deterministic transition system by `start`/`step`/`is_accepting` over a
+//! hashable state type, combinators that compose views without
+//! materializing them ([`Product`], [`Complement`]), and generic algorithms
 //! ([`shortest_accepted`], [`is_empty`], [`materialize`]) that explore
 //! **only the reachable states**, memoizing them by hash.
 //!
-//! Property tests assert the lazy views and the eager algebra agree
-//! byte-for-byte. The algorithms here deliberately mirror the eager
-//! traversal order (FIFO queue, symbols in dense index order, acceptance
-//! tested at dequeue) so shortest witnesses are *identical* to the eager
-//! ones — the shortlex-least shortest word — not merely equal in length.
+//! The searches use one traversal order (FIFO queue, symbols in dense
+//! index order, acceptance tested at dequeue), so a shortest witness is
+//! always the shortlex-least shortest word. The differential property
+//! suites hold them against the eager reference products of the
+//! `shelley-oracle` crate, witness for witness.
 //!
-//! Use [`materialize`] only at export boundaries (diagrams, NuSMV models,
-//! statistics): it is the single escape hatch back into the eager [`Dfa`]
-//! world and costs the full reachable state space.
+//! [`materialize`] is the one determinization: [`Dfa::from_nfa`] and every
+//! export (diagrams, NuSMV models, statistics) go through it, and it costs
+//! the full reachable state space.
 //!
 //! # Examples
 //!
@@ -43,8 +42,7 @@
 //! ```
 
 use crate::compiled::CompiledNfa;
-use crate::dense::state_u32;
-use crate::dfa::Dfa;
+use crate::dfa::{state_u32, Dfa};
 use crate::nfa::{Nfa, StateId};
 use crate::stateset::StateSet;
 use crate::symbol::{Alphabet, Symbol, Word};
@@ -118,7 +116,7 @@ impl<L: Lang + ?Sized> Lang for &L {
     }
 }
 
-/// An eager DFA is trivially a view: states are its interned ids.
+/// A DFA is trivially a view: states are its row indices.
 impl Lang for Dfa {
     type State = StateId;
 
@@ -146,12 +144,11 @@ impl Lang for Dfa {
 /// the [`CompiledNfa`]'s precomputed per-state closures — no `BTreeSet`
 /// allocation, no ε-edge walk. No subset construction happens up front:
 /// only the subsets actually reached by a search are ever built, which is
-/// the whole point — [`Dfa::from_nfa`] enumerates all of them eagerly.
+/// the whole point — [`materialize`]d (that is, [`Dfa::from_nfa`]) it
+/// enumerates all of them.
 ///
 /// Construction compiles the NFA once (ε-closures + CSR successor table);
-/// the view is cheap to clone afterwards. [`materialize`]d, this view
-/// yields a [`Dfa`] identical (states and numbering included) to
-/// `Dfa::from_nfa` on the same NFA.
+/// the view is cheap to clone afterwards.
 #[derive(Debug, Clone)]
 pub struct NfaView<'a> {
     nfa: &'a Nfa,
@@ -210,10 +207,8 @@ enum BoolOp {
     Diff,
 }
 
-/// The lazy product of two views; states are pairs explored on demand.
-///
-/// Mirrors the eager [`Dfa::intersect`]/[`Dfa::union`]/[`Dfa::difference`]
-/// triple without building the pair table.
+/// The lazy product of two views; states are pairs explored on demand, so
+/// no pair table is ever built.
 #[derive(Debug, Clone)]
 pub struct Product<A, B> {
     a: A,
@@ -291,8 +286,7 @@ impl<A: Lang, B: Lang> Lang for Product<A, B> {
 
 /// The complement view: flips acceptance.
 ///
-/// Sound because every [`Lang`] is complete and deterministic by contract —
-/// the same argument that makes [`Dfa::complement`] a one-liner.
+/// Sound because every [`Lang`] is complete and deterministic by contract.
 #[derive(Debug, Clone)]
 pub struct Complement<L> {
     inner: L,
@@ -347,10 +341,9 @@ pub(crate) fn assert_markers_in_alphabet(markers: &BTreeSet<Symbol>, alphabet: &
 
 /// Finds a shortest accepted word by lazy BFS, if the language is nonempty.
 ///
-/// Explores only reachable states, memoized by hash. The traversal mirrors
-/// [`Dfa::shortest_accepted`] exactly — FIFO queue, successors expanded in
-/// dense symbol order, acceptance tested at dequeue — so the witness is the
-/// shortlex-least shortest word, byte-identical to the eager engine's.
+/// Explores only reachable states, memoized by hash. The traversal is a
+/// FIFO queue with successors expanded in dense symbol order and acceptance
+/// tested at dequeue, so the witness is the shortlex-least shortest word.
 pub fn shortest_accepted<L: Lang>(lang: &L) -> Option<Word> {
     shortest_accepted_counted(lang).0
 }
@@ -405,13 +398,13 @@ pub fn is_empty<L: Lang>(lang: &L) -> bool {
     shortest_accepted(lang).is_none()
 }
 
-/// Materializes a view into an eager [`Dfa`] — the escape hatch back into
-/// the eager world for diagram, NuSMV, and statistics export.
+/// Materializes a view into a [`Dfa`]: the crate's one determinization,
+/// behind [`Dfa::from_nfa`] and every diagram, NuSMV and statistics
+/// export.
 ///
 /// States are numbered in BFS discovery order with symbols scanned in dense
-/// index order — the same order as [`Dfa::from_nfa`] — so materializing an
-/// [`NfaView`] reproduces subset construction exactly, golden outputs
-/// included.
+/// index order, so materializing an [`NfaView`] is subset construction
+/// with a fixed numbering, golden outputs included.
 ///
 /// The reachable state space must be finite (true for every view in this
 /// workspace: NFA subsets, DFA ids, product pairs, and canonicalized LTLf
@@ -468,61 +461,80 @@ mod tests {
     }
 
     #[test]
-    fn nfa_view_agrees_with_subset_construction() {
-        let (nfa, _) = compile("(a ; b)* + (a ; c)");
-        let eager = Dfa::from_nfa(&nfa);
-        let lazy = materialize(&NfaView::new(&nfa));
-        assert_eq!(lazy.num_states(), eager.num_states());
-        assert_eq!(lazy.start(), eager.start());
-        for q in 0..eager.num_states() {
-            assert_eq!(lazy.is_accepting(q), eager.is_accepting(q));
-            for (sym, _) in eager.alphabet().iter() {
-                assert_eq!(lazy.step(q, sym), eager.step(q, sym), "state {q}");
-            }
-        }
+    fn shortest_witness_is_shortlex_least() {
+        let (nfa, ab) = compile("(a ; a ; a) + (b ; c) + c");
+        let witness = shortest_accepted(&NfaView::new(&nfa)).unwrap();
+        assert_eq!(ab.render_word(&witness), "c");
+        assert!(!is_empty(&NfaView::new(&nfa)));
+        let (void, _) = compile("void");
+        assert!(is_empty(&NfaView::new(&void)));
     }
 
     #[test]
-    fn lazy_witnesses_match_eager_witnesses() {
-        let (nfa, _) = compile("(a ; a ; a) + (b ; c) + c");
-        let eager = Dfa::from_nfa(&nfa);
-        assert_eq!(
-            shortest_accepted(&NfaView::new(&nfa)),
-            eager.shortest_accepted()
-        );
-        assert_eq!(is_empty(&NfaView::new(&nfa)), eager.is_empty());
-    }
-
-    #[test]
-    fn product_and_complement_agree_with_dfa_algebra() {
+    fn product_intersects_and_unites() {
+        // L1 = words starting with a; L2 = words ending with b.
         let mut ab = Alphabet::new();
-        let re1 = parse_regex("(a + b)*", &mut ab).unwrap();
-        let re2 = parse_regex("a ; (a + b)*", &mut ab).unwrap();
+        let re1 = parse_regex("a ; (a + b)*", &mut ab).unwrap();
+        let re2 = parse_regex("(a + b)* ; b", &mut ab).unwrap();
+        let (a, b) = (ab.lookup("a").unwrap(), ab.lookup("b").unwrap());
         let ab = Arc::new(ab);
         let n1 = Nfa::from_regex(&re1, ab.clone());
         let n2 = Nfa::from_regex(&re2, ab);
-        let (d1, d2) = (Dfa::from_nfa(&n1), Dfa::from_nfa(&n2));
         let (v1, v2) = (NfaView::new(&n1), NfaView::new(&n2));
+        let both = materialize(&Product::intersection(&v1, &v2));
+        assert!(both.accepts(&[a, b]) && both.accepts(&[a, a, b]));
+        assert!(!both.accepts(&[a]) && !both.accepts(&[b, b]));
+        let either = materialize(&Product::union(&v1, &v2));
+        assert!(either.accepts(&[a]) && either.accepts(&[b, b]));
+        assert!(!either.accepts(&[b, a]));
+        assert_eq!(
+            shortest_accepted(&Product::intersection(&v1, &v2)),
+            Some(vec![a, b])
+        );
+    }
 
-        // Difference witness identical to the eager engine.
+    #[test]
+    fn negated_view_flips_membership() {
+        let mut ab = Alphabet::new();
+        let star = parse_regex("a*", &mut ab).unwrap();
+        let everything = parse_regex("(a + b)*", &mut ab).unwrap();
+        let (a, b) = (ab.lookup("a").unwrap(), ab.lookup("b").unwrap());
+        let ab = Arc::new(ab);
+        let star = Nfa::from_regex(&star, ab.clone());
+        let everything = Nfa::from_regex(&everything, ab);
+        let comp = materialize(&Complement::new(NfaView::new(&star)));
+        assert!(!comp.accepts(&[a, a]) && comp.accepts(&[b]));
         assert_eq!(
-            shortest_accepted(&Product::difference(&v1, &v2)),
-            d1.difference(&d2).shortest_accepted()
+            shortest_accepted(&Complement::new(NfaView::new(&star))),
+            Some(vec![b])
         );
-        // Intersection / union emptiness agree.
+        assert!(is_empty(&Complement::new(NfaView::new(&everything))));
+    }
+
+    #[test]
+    fn product_difference_witnesses_non_inclusion() {
+        let mut ab = Alphabet::new();
+        let small = parse_regex("a", &mut ab).unwrap();
+        let big = parse_regex("a*", &mut ab).unwrap();
+        let parity = parse_regex("(a ; a)* + a ; (a ; a)*", &mut ab).unwrap();
+        let ab = Arc::new(ab);
+        let small = Nfa::from_regex(&small, ab.clone());
+        let big = Nfa::from_regex(&big, ab.clone());
+        let parity = Nfa::from_regex(&parity, ab);
+        let (vs, vb, vp) = (
+            NfaView::new(&small),
+            NfaView::new(&big),
+            NfaView::new(&parity),
+        );
+        assert!(is_empty(&Product::difference(&vs, &vb)));
+        // a* \ a: the shortest witness is ε.
         assert_eq!(
-            is_empty(&Product::intersection(&v1, &v2)),
-            d1.intersect(&d2).is_empty()
+            shortest_accepted(&Product::difference(&vb, &vs)),
+            Some(vec![])
         );
-        assert_eq!(
-            is_empty(&Product::union(&v1, &v2)),
-            d1.union(&d2).is_empty()
-        );
-        // Complement round-trips.
-        assert_eq!(
-            shortest_accepted(&Complement::new(&v2)),
-            d2.complement().shortest_accepted()
-        );
+        // (a·a)* + a·(a·a)* ≡ a*.
+        assert!(is_empty(&Product::difference(&vp, &vb)));
+        assert!(is_empty(&Product::difference(&vb, &vp)));
     }
 
     #[test]
@@ -539,7 +551,7 @@ mod tests {
         let (word, visited) = shortest_accepted_counted(&NfaView::new(&nfa));
         assert!(word.is_some());
         // The search cannot have explored more than the full subset space.
-        assert!(visited <= Dfa::from_nfa(&nfa).num_states());
+        assert!(visited <= materialize(&NfaView::new(&nfa)).num_states());
         assert!(visited >= 1);
     }
 

@@ -16,23 +16,23 @@
 //!   [Brzozowski derivatives](Regex::derivative) and
 //!   [membership](Regex::matches).
 //! * [`Nfa`] — ε-NFAs with Thompson compilation, a builder for
-//!   specification graphs, projection by symbol erasure, shortest-word
-//!   search.
+//!   specification graphs, projection by symbol erasure.
 //! * [`StateSet`] / [`CompiledNfa`] — the bitset state engine: dense
 //!   `u64`-block subsets plus once-per-NFA compiled ε-closures and CSR
 //!   successor tables, powering allocation-free determinized stepping in
 //!   every hot path below.
-//! * [`Dfa`] — complete DFAs with subset construction, boolean algebra
-//!   with shortest witnesses, [Hopcroft minimization](Dfa::minimize),
-//!   shortlex [word enumeration](Dfa::enumerate_words), all stored in and
-//!   stepping one flat [`DenseDfa`] transition table.
+//! * [`Dfa`] — complete DFAs stored in and stepping one flat
+//!   `states × symbols` transition table ([`Dfa::row`]), with
+//!   [Hopcroft minimization](Dfa::minimize), shortlex
+//!   [word enumeration](Dfa::enumerate_words) and DOT export.
 //! * [`antichain`] — inclusion checking that prunes ⊆-subsumed spec
 //!   macrostates (De Wulf–Doyen–Henzinger–Raskin), the product's one
 //!   inclusion engine.
-//! * [`lang`] — lazy language views: a [`lang::Lang`] trait with on-the-fly
-//!   combinators (product, complement) and generic searches
-//!   that explore only reachable states, with
-//!   [`lang::materialize`] as the eager escape hatch for export.
+//! * [`lang`] — lazy language views, the crate's one language algebra: a
+//!   [`lang::Lang`] trait with on-the-fly combinators (product,
+//!   complement) and generic searches that explore only reachable states,
+//!   with [`lang::materialize`] as the one determinization
+//!   ([`Dfa::from_nfa`] and every export).
 //! * [`ops`] — marker-aware product searches used to produce the paper's
 //!   annotated counterexamples (`open_a, a.test, a.open`).
 //! * DOT rendering for the behavior diagrams of Figures 1–3.
@@ -74,7 +74,6 @@
 
 pub mod antichain;
 mod compiled;
-mod dense;
 mod derivative;
 mod dfa;
 mod dot;
@@ -90,7 +89,6 @@ mod symbol;
 mod to_regex;
 
 pub use compiled::CompiledNfa;
-pub use dense::DenseDfa;
 pub use dfa::Dfa;
 pub use nfa::{Label, Nfa, NfaBuilder, StateId};
 pub use parser::{parse_regex, ParseRegexError};

@@ -4,7 +4,7 @@
 //! tests compare against lives outside the product, in the `shelley-oracle`
 //! support crate.
 
-use crate::dense::state_u32;
+use crate::dfa::state_u32;
 use crate::dfa::Dfa;
 use crate::nfa::StateId;
 use crate::symbol::Symbol;
@@ -231,6 +231,7 @@ impl Dfa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lang::{is_empty, Product};
     use crate::nfa::Nfa;
     use crate::regex::Regex;
     use crate::symbol::Alphabet;
@@ -257,7 +258,8 @@ mod tests {
         let dfa = dfa_of(&r, ab);
         let min = dfa.minimize();
         assert!(min.num_states() <= dfa.num_states());
-        assert!(min.difference(&dfa).is_empty() && dfa.difference(&min).is_empty());
+        assert!(is_empty(&Product::difference(&min, &dfa)));
+        assert!(is_empty(&Product::difference(&dfa, &min)));
     }
 
     #[test]
@@ -309,6 +311,6 @@ mod tests {
         let (ab, _, _) = ab2();
         let min = dfa_of(&Regex::empty(), ab).minimize();
         assert_eq!(min.num_states(), 1);
-        assert!(min.is_empty());
+        assert!(is_empty(&min));
     }
 }

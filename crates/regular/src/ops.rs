@@ -7,20 +7,19 @@
 //! in the witness lets error messages print traces exactly as the paper
 //! does (`open_a, a.test, a.open`).
 //!
-//! Since the language-view refactor, the monitor side is any [`Lang`] — an
-//! eager [`Dfa`](crate::Dfa), an on-the-fly
-//! [`NfaView`](crate::lang::NfaView), or an
-//! LTLf progression monitor — so no caller has to determinize or compile a
-//! monitor automaton before searching. The NFA side keeps its explicit
-//! edge-order 0-1 BFS: ε-edges cost nothing, symbol edges cost one, which
-//! both guarantees shortest witnesses and preserves the exact tie-breaking
-//! the eager engine produced (the monitor is deterministic, so lazily
-//! stepping it visits the same product graph in the same order).
+//! The monitor side is any [`Lang`] — a [`Dfa`](crate::Dfa), an on-the-fly
+//! [`NfaView`](crate::lang::NfaView), or an LTLf progression monitor — so
+//! no caller has to determinize or compile a monitor automaton before
+//! searching. The NFA side is an explicit edge-order 0-1 BFS: ε-edges cost
+//! nothing, symbol and marker edges cost one, and a node reached again at
+//! a strictly shorter distance is re-queued, so witnesses are shortest.
+//! Ties go to the first discovery, which makes witnesses deterministic.
 
 use crate::lang::{self, Complement, Lang};
 use crate::nfa::{Label, Nfa, StateId};
 use crate::symbol::{Symbol, Word};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// The outcome of a counted joint search: the witness (if any) plus the
 /// number of distinct product states discovered.
@@ -45,9 +44,9 @@ pub struct JointSearch {
 /// where the NFA consumed them. Returns `None` when the (marker-erased)
 /// intersection is empty.
 ///
-/// The monitor is stepped lazily through its [`Lang`] interface; passing an
-/// eager [`Dfa`](crate::Dfa) reproduces the pre-refactor behavior (and
-/// witness) exactly.
+/// The monitor is stepped lazily through its [`Lang`] interface, so a
+/// materialized [`Dfa`](crate::Dfa) and the lazy view it came from give the
+/// same witness.
 ///
 /// # Panics
 ///
@@ -79,51 +78,74 @@ pub fn shortest_joint_word_counted<L: Lang>(
         "joint search over different alphabets"
     );
     lang::assert_markers_in_alphabet(ignored, nfa.alphabet());
-    type Node<S> = (StateId, S);
-    type Parents<S> = HashMap<Node<S>, (Node<S>, Option<Symbol>)>;
-    let mut parent: Parents<L::State> = HashMap::new();
+    // Discovered nodes, interned once; per node, its best distance so far
+    // and the (node, consumed symbol) it was reached from.
     let start = (nfa.start(), monitor.start());
-    let mut deque: VecDeque<Node<L::State>> = VecDeque::from([start.clone()]);
-    let mut visited: HashSet<Node<L::State>> = HashSet::from([start]);
-    while let Some(node) = deque.pop_front() {
-        let (qn, ref qm) = node;
-        if nfa.is_accepting(qn) && monitor.is_accepting(qm) {
+    let mut index: HashMap<(StateId, L::State), usize> = HashMap::from([(start.clone(), 0)]);
+    let mut nodes = vec![start];
+    let mut best: Vec<(u32, Parent)> = vec![(0, None)];
+    let mut deque: VecDeque<(usize, u32)> = VecDeque::from([(0, 0)]);
+    while let Some((id, dist)) = deque.pop_front() {
+        // A stale entry: the node was re-queued at a shorter distance and
+        // already expanded from there.
+        if dist > best[id].0 {
+            continue;
+        }
+        let qn = nodes[id].0;
+        if nfa.is_accepting(qn) && monitor.is_accepting(&nodes[id].1) {
             let mut word = Vec::new();
-            let mut cur = node;
-            while let Some((prev, sym)) = parent.get(&cur) {
-                if let Some(s) = sym {
-                    word.push(*s);
-                }
-                cur = prev.clone();
+            let mut cur = id;
+            while let Some((prev, sym)) = best[cur].1 {
+                word.extend(sym);
+                cur = prev;
             }
             word.reverse();
             return JointSearch {
                 witness: Some(word),
-                visited: visited.len(),
+                visited: nodes.len(),
             };
         }
         for &(label, dst) in nfa.edges_from(qn) {
-            let (next, consumed, cost_free) = match label {
-                Label::Eps => ((dst, qm.clone()), None, true),
-                Label::Sym(s) if ignored.contains(&s) => ((dst, qm.clone()), Some(s), false),
-                Label::Sym(s) => ((dst, monitor.step(qm, s)), Some(s), false),
+            let qm = &nodes[id].1;
+            let (next, consumed, cost) = match label {
+                Label::Eps => ((dst, qm.clone()), None, 0),
+                Label::Sym(s) if ignored.contains(&s) => ((dst, qm.clone()), Some(s), 1),
+                Label::Sym(s) => ((dst, monitor.step(qm, s)), Some(s), 1),
             };
-            if visited.insert(next.clone()) {
-                parent.insert(next.clone(), (node.clone(), consumed));
-                // 0-1 BFS: ε-edges keep path length; symbol edges extend it.
-                if cost_free {
-                    deque.push_front(next);
-                } else {
-                    deque.push_back(next);
+            let next_dist = dist + cost;
+            let next_id = match index.entry(next) {
+                Entry::Vacant(slot) => {
+                    let next_id = nodes.len();
+                    nodes.push(slot.key().clone());
+                    slot.insert(next_id);
+                    best.push((next_dist, Some((id, consumed))));
+                    next_id
                 }
+                // Relax only on a strictly shorter distance, so the first
+                // discovery wins every tie.
+                Entry::Occupied(slot) if next_dist < best[*slot.get()].0 => {
+                    best[*slot.get()] = (next_dist, Some((id, consumed)));
+                    *slot.get()
+                }
+                Entry::Occupied(_) => continue,
+            };
+            // 0-1 BFS: ε-edges keep the distance; symbol edges extend it.
+            if cost == 0 {
+                deque.push_front((next_id, next_dist));
+            } else {
+                deque.push_back((next_id, next_dist));
             }
         }
     }
     JointSearch {
         witness: None,
-        visited: visited.len(),
+        visited: nodes.len(),
     }
 }
+
+/// The node a joint search reached a node from, with the symbol consumed
+/// on the way (`None` over an ε-edge); `None` for the start node.
+type Parent = Option<(usize, Option<Symbol>)>;
 
 /// Checks whether the marker-erased language of `nfa` is included in
 /// `spec`'s language; on failure returns a shortest violating word *with*
@@ -339,5 +361,46 @@ mod tests {
         let search = shortest_joint_word_counted(&nfa, &monitor, &BTreeSet::new());
         assert_eq!(search.witness, Some(vec![a, b]));
         assert!(search.visited >= 3, "visited {}", search.visited);
+    }
+
+    /// `S -ε-> W`, `S -ε-> U`, `U -a-> X`, `W -ε-> X`, with `X` accepting:
+    /// `X` is first discovered over the `a` edge (distance 1) and only
+    /// then over the ε-path (distance 0).
+    fn late_epsilon_diamond() -> (Nfa, Symbol, Symbol) {
+        let mut ab = Alphabet::new();
+        let a = ab.intern("a");
+        let b = ab.intern("b");
+        let mut builder = Nfa::builder(Arc::new(ab));
+        let [s, w, u, x] = [(); 4].map(|()| builder.add_state());
+        builder.set_start(s);
+        builder.add_edge(s, Label::Eps, w);
+        builder.add_edge(s, Label::Eps, u);
+        builder.add_edge(u, Label::Sym(a), x);
+        builder.add_edge(w, Label::Eps, x);
+        builder.mark_accepting(x);
+        (builder.build(), a, b)
+    }
+
+    #[test]
+    fn a_shorter_epsilon_path_found_later_wins() {
+        let (nfa, a, b) = late_epsilon_diamond();
+        let markers = BTreeSet::from([a]);
+        // Spec b+: the marker-only trace `a` and the empty trace both
+        // violate it; the empty one is shorter.
+        let spec = Nfa::from_regex(
+            &Regex::concat(Regex::sym(b), Regex::star(Regex::sym(b))),
+            nfa.alphabet().clone(),
+        );
+        assert_eq!(
+            projected_subset(&nfa, &NfaView::new(&spec), &markers),
+            Err(vec![])
+        );
+        let (antichain, _) =
+            crate::antichain::projected_subset_counted(&nfa, &NfaView::new(&spec), &markers);
+        assert_eq!(antichain, Err(vec![]));
+        let anything = Nfa::from_regex(&Regex::star(Regex::sym(b)), nfa.alphabet().clone());
+        let search = shortest_joint_word_counted(&nfa, &NfaView::new(&anything), &markers);
+        assert_eq!(search.witness, Some(vec![]));
+        assert_eq!(search.visited, 4);
     }
 }

@@ -110,7 +110,8 @@ mod tests {
     use std::sync::Arc;
 
     fn same_language(d1: &Dfa, d2: &Dfa) -> bool {
-        d1.difference(d2).is_empty() && d2.difference(d1).is_empty()
+        use crate::lang::{is_empty, Product};
+        is_empty(&Product::difference(d1, d2)) && is_empty(&Product::difference(d2, d1))
     }
 
     fn roundtrip(pattern: &str) {

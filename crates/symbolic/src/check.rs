@@ -221,6 +221,32 @@ mod tests {
     }
 
     #[test]
+    fn a_late_epsilon_path_gives_the_empty_witness_on_both_engines() {
+        use shelley_regular::Label;
+        // `S -ε-> W`, `S -ε-> U`, `U -a-> X`, `W -ε-> X`, with `X` accepting
+        // and `a` a marker: `X` is first reached over the marker edge, and only
+        // then over the cheaper ε-path.
+        let mut ab = Alphabet::new();
+        let claim = parse_formula("F b", &mut ab).unwrap();
+        let a = ab.intern("a");
+        let mut builder = Nfa::builder(Arc::new(ab));
+        let [s, w, u, x] = [(); 4].map(|()| builder.add_state());
+        builder.set_start(s);
+        builder.add_edge(s, Label::Eps, w);
+        builder.add_edge(s, Label::Eps, u);
+        builder.add_edge(u, Label::Sym(a), x);
+        builder.add_edge(w, Label::Eps, x);
+        builder.mark_accepting(x);
+        let nfa = builder.build();
+        let markers = BTreeSet::from([a]);
+        let empty = ClaimOutcome::Violated {
+            counterexample: vec![],
+        };
+        assert_eq!(check_claim(&nfa, &claim, &markers), empty);
+        assert_eq!(explicit_check(&nfa, &claim, &markers), empty);
+    }
+
+    #[test]
     fn agrees_with_explicit_engine_on_a_hand_picked_grid() {
         let claims = [
             "G !c",

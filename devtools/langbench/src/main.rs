@@ -411,14 +411,16 @@ fn reps_for(n: usize) -> usize {
     }
 }
 
-/// Subset construction: bitset `Dfa::from_nfa` vs the reference engine
-/// materialized through `NfaViewRef` (the historical `BTreeSet` path).
+/// Subset construction: the shipped determinization, `lang::materialize`
+/// of the bitset `NfaView` (what `Dfa::from_nfa` runs), vs the reference
+/// engine materialized through `NfaViewRef` (the historical `BTreeSet`
+/// path).
 fn measure_subset(n: usize) -> PerfRow {
     let (_, nfa) = exponential_nfa(n);
     let view = NfaView::new(&nfa);
     let (visited, peak_subset) = explore_subsets(&view);
     let reps = reps_for(n);
-    let fast_ns = time(reps, || Dfa::from_nfa(&nfa).num_states());
+    let fast_ns = time(reps, || lang::materialize(&NfaView::new(&nfa)).num_states());
     let slow_ns = time(reps, || {
         lang::materialize(&NfaViewRef::new(&nfa)).num_states()
     });

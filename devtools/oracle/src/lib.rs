@@ -9,8 +9,10 @@
 //!
 //! * [`regular`] — the `BTreeSet` subset engine ([`regular::NfaViewRef`],
 //!   [`regular::epsilon_closure`]), the classic unpruned inclusion search
-//!   ([`regular::subset_of`], [`regular::equivalent`]) and Moore
-//!   minimization ([`regular::minimize_naive`]);
+//!   ([`regular::subset_of`], [`regular::equivalent`]), Moore
+//!   minimization ([`regular::minimize_naive`]) and the eager DFA algebra
+//!   ([`regular::product`], [`regular::complement`],
+//!   [`regular::shortest_accepted`]);
 //! * [`ltlf`] — the eager LTLf monitor DFA ([`ltlf::to_dfa`]);
 //! * [`smv`] — an executable semantics for the emitted NuSMV `LTLSPEC`s
 //!   ([`smv::eval_spec`], [`smv::eval_model`]) and a claim check routed

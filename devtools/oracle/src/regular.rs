@@ -10,7 +10,12 @@
 //!   the difference product), the source of canonical shortlex witnesses
 //!   the antichain engine is compared with;
 //! * [`minimize_naive`] is Moore's O(n²·|Σ|) partition refinement, the
-//!   baseline for Hopcroft's [`Dfa::minimize`].
+//!   baseline for Hopcroft's [`Dfa::minimize`];
+//! * [`intersect`], [`union`], [`difference`] and [`complement`] are the
+//!   eager DFA algebra — full pair tables built up front — and
+//!   [`shortest_accepted`] is a BFS over a table's rows: the references
+//!   for the lazy [`Product`], [`Complement`](lang::Complement) and
+//!   [`lang::shortest_accepted`].
 
 use shelley_regular::lang::{self, Lang, Product};
 use shelley_regular::{Alphabet, Dfa, Label, Nfa, StateId, Symbol, Word};
@@ -82,8 +87,8 @@ impl Lang for NfaViewRef<'_> {
 ///
 /// Every reachable product state is distinguished — exponential when `b`
 /// is a blowing-up NFA view, which is what the antichain engine avoids.
-/// On two [`Dfa`]s this is the eager `difference` + shortest-word search,
-/// witness for witness.
+/// On two [`Dfa`]s this is [`difference`] + [`shortest_accepted`], witness
+/// for witness.
 ///
 /// # Panics
 ///
@@ -104,6 +109,95 @@ pub fn subset_of<A: Lang, B: Lang>(a: &A, b: &B) -> Result<(), Word> {
 pub fn equivalent<A: Lang, B: Lang>(a: &A, b: &B) -> Result<(), Word> {
     subset_of(a, b)?;
     subset_of(b, a)
+}
+
+/// The eager product of two DFAs: every reachable state pair is numbered
+/// in BFS discovery order (symbols in dense index order) and tabled up
+/// front; `combine` decides acceptance from the two factors'.
+///
+/// # Panics
+///
+/// Panics if the alphabets differ.
+pub fn product(a: &Dfa, b: &Dfa, combine: impl Fn(bool, bool) -> bool) -> Dfa {
+    assert_eq!(
+        **a.alphabet(),
+        **b.alphabet(),
+        "product of DFAs over different alphabets"
+    );
+    let accepts = |(qa, qb): (StateId, StateId)| combine(a.is_accepting(qa), b.is_accepting(qb));
+    let start = (a.start(), b.start());
+    let mut index: HashMap<(StateId, StateId), usize> = HashMap::from([(start, 0)]);
+    // Pairs in discovery order, which is also the BFS queue order.
+    let mut pairs = vec![start];
+    let mut table = Vec::new();
+    let mut q = 0;
+    while q < pairs.len() {
+        let (qa, qb) = pairs[q];
+        for (&da, &db) in a.row(qa).iter().zip(b.row(qb)) {
+            let pair = (da as StateId, db as StateId);
+            let dst = *index.entry(pair).or_insert_with(|| {
+                pairs.push(pair);
+                pairs.len() - 1
+            });
+            table.push(u32::try_from(dst).expect("DFA state id exceeds u32"));
+        }
+        q += 1;
+    }
+    let accepting: Vec<bool> = pairs.iter().map(|&p| accepts(p)).collect();
+    Dfa::from_parts(a.alphabet().clone(), table, 0, &accepting)
+}
+
+/// `L(a) ∩ L(b)` as an eager [`product`].
+pub fn intersect(a: &Dfa, b: &Dfa) -> Dfa {
+    product(a, b, |x, y| x && y)
+}
+
+/// `L(a) ∪ L(b)` as an eager [`product`].
+pub fn union(a: &Dfa, b: &Dfa) -> Dfa {
+    product(a, b, |x, y| x || y)
+}
+
+/// `L(a) \ L(b)` as an eager [`product`].
+pub fn difference(a: &Dfa, b: &Dfa) -> Dfa {
+    product(a, b, |x, y| x && !y)
+}
+
+/// The same table with acceptance flipped on every state.
+pub fn complement(dfa: &Dfa) -> Dfa {
+    let states = 0..dfa.num_states();
+    let table = states.clone().flat_map(|q| dfa.row(q).to_vec()).collect();
+    let accepting: Vec<bool> = states.map(|q| !dfa.is_accepting(q)).collect();
+    Dfa::from_parts(dfa.alphabet().clone(), table, dfa.start(), &accepting)
+}
+
+/// A shortest accepted word by BFS over the table's rows (symbols in dense
+/// index order, acceptance tested at dequeue): the shortlex-least one.
+pub fn shortest_accepted(dfa: &Dfa) -> Option<Word> {
+    let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; dfa.num_states()];
+    let mut visited = vec![false; dfa.num_states()];
+    let mut queue = VecDeque::from([dfa.start()]);
+    visited[dfa.start()] = true;
+    while let Some(q) = queue.pop_front() {
+        if dfa.is_accepting(q) {
+            let mut word = Vec::new();
+            let mut cur = q;
+            while let Some((prev, sym)) = parent[cur] {
+                word.push(sym);
+                cur = prev;
+            }
+            word.reverse();
+            return Some(word);
+        }
+        for (sym_idx, &dst) in dfa.row(q).iter().enumerate() {
+            let dst = dst as StateId;
+            if !visited[dst] {
+                visited[dst] = true;
+                parent[dst] = Some((q, Symbol::from_index(sym_idx)));
+                queue.push_back(dst);
+            }
+        }
+    }
+    None
 }
 
 /// Moore minimization: iterated refinement of state signatures until the
@@ -183,7 +277,7 @@ mod tests {
         assert_eq!(reference.num_states(), direct.num_states());
         for q in 0..direct.num_states() {
             assert_eq!(reference.is_accepting(q), direct.is_accepting(q));
-            assert_eq!(reference.dense().row(q), direct.dense().row(q));
+            assert_eq!(reference.row(q), direct.row(q));
         }
     }
 
@@ -202,7 +296,36 @@ mod tests {
         assert_eq!(ab.render_word(&witness), "a, c");
         // The same question over eager DFAs gives the same word.
         let (ds, db) = (Dfa::from_nfa(&ns), Dfa::from_nfa(&nb));
-        assert_eq!(subset_of(&db, &ds), Err(witness));
+        assert_eq!(subset_of(&db, &ds), Err(witness.clone()));
+        assert_eq!(shortest_accepted(&difference(&db, &ds)), Some(witness));
         assert!(equivalent(&ds, &ds.minimize()).is_ok());
+    }
+
+    #[test]
+    fn eager_algebra_decides_membership() {
+        // L1 = words starting with a; L2 = words ending with b.
+        let mut ab = Alphabet::new();
+        let l1 = parse_regex("a ; (a + b)*", &mut ab).unwrap();
+        let l2 = parse_regex("(a + b)* ; b", &mut ab).unwrap();
+        let (a, b) = (ab.lookup("a").unwrap(), ab.lookup("b").unwrap());
+        let ab = Arc::new(ab);
+        let d1 = Dfa::from_nfa(&Nfa::from_regex(&l1, ab.clone()));
+        let d2 = Dfa::from_nfa(&Nfa::from_regex(&l2, ab));
+        let both = intersect(&d1, &d2);
+        assert!(both.accepts(&[a, b]) && !both.accepts(&[a]) && !both.accepts(&[b, b]));
+        let either = union(&d1, &d2);
+        assert!(either.accepts(&[a]) && either.accepts(&[b, b]) && !either.accepts(&[b, a]));
+        let not_l1 = complement(&d1);
+        assert!(not_l1.accepts(&[b]) && !not_l1.accepts(&[a]));
+        assert_eq!(shortest_accepted(&not_l1), Some(vec![]));
+        assert_eq!(shortest_accepted(&intersect(&d1, &not_l1)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "different alphabets")]
+    fn product_requires_same_alphabet() {
+        let d1 = Dfa::from_nfa(&compile("a"));
+        let d2 = Dfa::from_nfa(&compile("x"));
+        let _ = intersect(&d1, &d2);
     }
 }
